@@ -3,8 +3,9 @@
 All commands are seeded and deterministic: identical invocations produce
 byte-identical artifacts.  Output is CSV (default for tabular data) or JSON
 (default for pair records); CSV floats carry 17 significant digits so values
-round-trip losslessly.  Exit codes: 0 success, 1 usage error, 2 domain
-error, 3 convergence error.
+round-trip losslessly.  Exit codes: 0 success, 1 usage error (including
+invalid input such as NaN or infinite pair components), 2 domain error,
+3 numerical error (an eigensolver failure, or an eigenvalue outside [-1, 1]).
 """
 
 from __future__ import annotations
@@ -222,9 +223,8 @@ def _cmd_orbit(args) -> str:
 
 def _cmd_gap_profile(args) -> str:
     _require(args.nmax >= 1, "--nmax must be at least 1")
-    _require(args.threads >= 1, "--threads must be at least 1")
     pair = _load_pair(args.pair)
-    profile = spectral.gap_profile(pair, args.nmax, workers=args.threads)
+    profile = spectral.gap_profile(pair, args.nmax)
     meta = {
         "n_max": profile.n_max,
         "min_gap": profile.min_gap,
@@ -409,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--pair", required=True)
     sub.add_argument("--nmax", type=int, default=50)
-    sub.add_argument("--threads", type=int, default=1, help="worker cap for levels")
     _add_common(sub, "csv")
     sub.set_defaults(handler=_cmd_gap_profile)
 
@@ -475,7 +474,7 @@ def main(argv=None) -> int:
         return 2
     except ConvergenceError as exc:
         level = f" (level {exc.level})" if exc.level is not None else ""
-        print(f"su2gap: convergence error{level}: {exc}", file=sys.stderr)
+        print(f"su2gap: numerical error{level}: {exc}", file=sys.stderr)
         return 3
     _write_output(args, text)
     return 0

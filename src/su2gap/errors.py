@@ -6,7 +6,9 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative eigenvalue computation exhausted its budget.
+    """A numerical computation failed: the eigensolver did not converge, or
+    it returned an eigenvalue that an averaging operator cannot have (one
+    outside [-1, 1]).
 
     Carries the irrep level at which the failure occurred when known.
     """

@@ -9,6 +9,11 @@ block, and reports per-level spectral gaps
 
 together with word-defect bounds and the minimal two-generator defect.
 
+Each block is the exponential of the tridiagonal Lie-algebra image of log g,
+diagonalized exactly (Feng, Wang, Yang, Jin, Phys. Rev. E 92, 043307, 2015),
+so it stays unitary to rounding at every level.  All eigenvalues come from
+LAPACK through numpy.
+
 A truncated profile is evidence, not a certificate: the true spectral gap is
 an infimum over all levels and no finite sweep can certify it.  Every summary
 produced here carries that caveat.
@@ -17,32 +22,12 @@ produced here carries that caveat.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceError
 from .su2_core import Pair, SU2Element, Word, evaluate_word
-
-EIGEN_TOL = 1e-12
-RESTART_SEED = 0x5D2A11  # fixed seed for the deterministic random restart
-
-
-@lru_cache(maxsize=None)
-def _binomial_tables(n: int):
-    """Square roots of binomials and the expansion coefficient rows for level n."""
-    sqrt_binom = np.array([math.sqrt(math.comb(n, k)) for k in range(n + 1)])
-    rows_first = [
-        np.array([float(math.comb(n - k, i)) for i in range(n - k + 1)])
-        for k in range(n + 1)
-    ]
-    rows_second = [
-        np.array([float(math.comb(k, m)) for m in range(k + 1)])
-        for k in range(n + 1)
-    ]
-    return sqrt_binom, rows_first, rows_second
 
 
 def irrep_matrix(g: SU2Element, n: int) -> np.ndarray:
@@ -51,23 +36,35 @@ def irrep_matrix(g: SU2Element, n: int) -> np.ndarray:
     Basis: monomials x^(n-k) y^k scaled by sqrt(binomial(n, k)), acted on by
     the substitution x -> alpha x - conj(beta) y, y -> beta x + conj(alpha) y.
     Level 1 reproduces the element's own 2x2 matrix exactly.
+
+    For log g = [[p, q], [-conj(q), conj(p)]] the image of log g on the block
+    is the tridiagonal matrix
+
+        D[k, k] = (n - 2k) p,  D[k+1, k] = -conj(q) sqrt((n-k)(k+1)),
+        D[k, k+1] = q sqrt((k+1)(n-k)),
+
+    and the block is exp(D) = V diag(e^{iw}) V* from eigh(-iD) = (w, V).
+    When Re(alpha) < 0, -g is used with the sign (-1)^n, so the rotation
+    angle stays at most pi/2 and log g is well conditioned.
     """
     if n < 0:
         raise ValueError("irrep level must be nonnegative")
     if n == 0:
         return np.ones((1, 1), dtype=complex)
-    alpha, beta = g.alpha, g.beta
-    sqrt_binom, rows_first, rows_second = _binomial_tables(n)
-    pow_alpha = alpha ** np.arange(n + 1)
-    pow_nconj_beta = (-beta.conjugate()) ** np.arange(n + 1)
-    pow_beta = beta ** np.arange(n + 1)
-    pow_conj_alpha = alpha.conjugate() ** np.arange(n + 1)
-    out = np.empty((n + 1, n + 1), dtype=complex)
-    for k in range(n + 1):
-        first = rows_first[k] * pow_alpha[: n - k + 1][::-1] * pow_nconj_beta[: n - k + 1]
-        second = rows_second[k] * pow_beta[: k + 1][::-1] * pow_conj_alpha[: k + 1]
-        out[:, k] = np.convolve(first, second) * (sqrt_binom[k] / sqrt_binom)
-    return out
+    if n == 1:
+        return g.matrix
+    alpha, beta, sign = g.alpha, g.beta, 1.0
+    if alpha.real < 0.0:
+        alpha, beta, sign = -alpha, -beta, (-1.0) ** n
+    sin_angle = math.hypot(alpha.imag, abs(beta))
+    scale = math.atan2(sin_angle, alpha.real) / sin_angle if sin_angle > 0.0 else 1.0
+    k = np.arange(n + 1)
+    off = np.sqrt((n - k[:-1]) * (k[:-1] + 1.0))
+    herm = np.diag((n - 2.0 * k) * (alpha.imag * scale)).astype(complex)
+    herm += np.diag((-1j * scale * beta) * off, 1)
+    herm += np.diag((1j * scale * beta.conjugate()) * off, -1)
+    w, v = np.linalg.eigh(herm)
+    return sign * (v * np.exp(1j * w)) @ v.conj().T
 
 
 def averaging_operator(pair: Pair, n: int) -> np.ndarray:
@@ -82,163 +79,27 @@ def averaging_operator(pair: Pair, n: int) -> np.ndarray:
     return (pa + pa.conj().T + pb + pb.conj().T) / 4.0
 
 
-# ---------------------------------------------------------------------------
-# Extreme eigenvalues of Hermitian matrices.
-#
-# Plain power iteration on these averaging operators stalls when the top of
-# the spectrum is nearly degenerate (commuting pairs produce separations
-# around 1e-4), so the extreme eigenvalue is computed by the Krylov
-# refinement of the same iteration: Lanczos with full reorthogonalization,
-# run from the deterministic all-ones vector plus one seeded random restart,
-# followed by Sturm bisection on the resulting tridiagonal matrix.
-# ---------------------------------------------------------------------------
-
-
-def _lanczos_tridiagonal(matrix: np.ndarray, start: np.ndarray):
-    """Tridiagonalize over the Krylov space of the start vector."""
-    dim = matrix.shape[0]
-    basis = np.zeros((dim, dim), dtype=complex)
-    diag: list[float] = []
-    off: list[float] = []
-    q = start.astype(complex)
-    q = q / np.linalg.norm(q)
-    basis[:, 0] = q
-    for j in range(dim):
-        w = matrix @ q
-        a_j = float(np.real(np.vdot(q, w)))
-        diag.append(a_j)
-        w = w - a_j * q - (off[-1] * basis[:, j - 1] if j > 0 else 0.0)
-        # reorthogonalize twice to hold the basis to machine precision
-        for _ in range(2):
-            w -= basis[:, : j + 1] @ (basis[:, : j + 1].conj().T @ w)
-        b_j = float(np.linalg.norm(w))
-        if j == dim - 1 or b_j < 1e-14:
-            break
-        off.append(b_j)
-        q = w / b_j
-        basis[:, j + 1] = q
-    size = len(diag)
-    return np.array(diag), np.array(off), basis[:, :size]
-
-
-def _ritz_vector(diag: np.ndarray, off: np.ndarray, estimate: float) -> np.ndarray:
-    """Inverse iteration on the tridiagonal matrix at a converged estimate."""
-    size = len(diag)
-    if size == 1:
-        return np.ones(1)
-    scale = float(np.max(np.abs(diag)) + (np.max(np.abs(off)) if len(off) else 0.0))
-    floor = max(1e-300, 1e-18 * max(scale, 1.0))
-    y = np.full(size, 1.0 / math.sqrt(size))
-    for _ in range(2):
-        upper = np.empty(size - 1)
-        rhs = y.copy()
-        pivot = diag[0] - estimate
-        if abs(pivot) < floor:
-            pivot = floor if pivot >= 0 else -floor
-        upper[0] = off[0] / pivot
-        rhs[0] /= pivot
-        for i in range(1, size):
-            pivot = diag[i] - estimate - off[i - 1] * upper[i - 1]
-            if abs(pivot) < floor:
-                pivot = floor if pivot >= 0 else -floor
-            if i < size - 1:
-                upper[i] = off[i] / pivot
-            rhs[i] = (rhs[i] - off[i - 1] * rhs[i - 1]) / pivot
-        for i in range(size - 2, -1, -1):
-            rhs[i] -= upper[i] * rhs[i + 1]
-        norm = float(np.linalg.norm(rhs))
-        if norm == 0.0 or not np.isfinite(norm):
-            break
-        y = rhs / norm
-    return y
-
-
-def _count_eigenvalues_below(diag: np.ndarray, off: np.ndarray, x: float) -> int:
-    """Sturm count: number of eigenvalues of the tridiagonal matrix below x."""
-    count = 0
-    d = 1.0
-    tiny = 1e-300
-    for i in range(len(diag)):
-        coupling = off[i - 1] ** 2 / d if i > 0 else 0.0
-        d = diag[i] - x - coupling
-        if d == 0.0:
-            d = -tiny
-        if d < 0.0:
-            count += 1
-    return count
-
-
-def _tridiagonal_extreme(diag: np.ndarray, off: np.ndarray, largest: bool) -> float:
-    size = len(diag)
-    radius = np.zeros(size)
-    if size > 1:
-        radius[:-1] += np.abs(off)
-        radius[1:] += np.abs(off)
-    lo = float(np.min(diag - radius))
-    hi = float(np.max(diag + radius))
-    scale = max(1.0, abs(lo), abs(hi))
-    for _ in range(200):
-        if hi - lo <= 1e-15 * scale:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        below = _count_eigenvalues_below(diag, off, mid)
-        if largest:
-            if below == size:
-                hi = mid
-            else:
-                lo = mid
-        else:
-            if below == 0:
-                lo = mid
-            else:
-                hi = mid
-    else:
-        raise ConvergenceError("tridiagonal bisection exhausted its budget")
-    return 0.5 * (lo + hi)
-
-
-def extreme_eigenvalue(matrix: np.ndarray, largest: bool = True) -> float:
-    """Largest (or smallest) eigenvalue of a Hermitian matrix to 1e-12.
-
-    Deterministic: all-ones start plus one fixed-seed random restart; the
-    two Krylov runs guard each other against starts lying in a proper
-    invariant subspace.  The bisection estimate is polished through a Ritz
-    vector so that eigenvalues near zero come back with full absolute
-    accuracy (the minimal-defect functional takes a square root of this).
-    """
-    dim = matrix.shape[0]
-    if dim == 1:
-        return float(np.real(matrix[0, 0]))
-    starts = [np.ones(dim)]
-    rng = np.random.default_rng(RESTART_SEED)
-    starts.append(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-    values = []
-    for start in starts:
-        diag, off, basis = _lanczos_tridiagonal(matrix, start)
-        estimate = _tridiagonal_extreme(diag, off, largest)
-        vector = basis @ _ritz_vector(diag, off, estimate)
-        rayleigh = float(
-            np.real(np.vdot(vector, matrix @ vector)) / np.real(np.vdot(vector, vector))
-        )
-        values.append(rayleigh)
-    return max(values) if largest else min(values)
+def _eigenvalues(matrix: np.ndarray, n: int) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian level-n matrix."""
+    try:
+        return np.linalg.eigvalsh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed: {exc}", level=n) from exc
 
 
 def level_gap(pair: Pair, n: int) -> float:
-    """1 - lambda_max of the level-n averaging operator, clipped at 0.
+    """1 - lambda_max of the level-n averaging operator.
 
-    Raises ConvergenceError (annotated with the level) if the eigenvalue
-    computation fails.
+    Rounding just below zero is reported as 0.  Raises ConvergenceError
+    (annotated with the level) if the eigensolver fails, or if lambda_max is
+    not at most 1 + 1e-9, which a unitary block cannot produce; NaN fails
+    that test too.
     """
     if n < 1:
         raise ValueError("level_gap requires level n >= 1")
-    operator = averaging_operator(pair, n)
-    try:
-        top = extreme_eigenvalue(operator, largest=True)
-    except ConvergenceError as exc:
-        raise ConvergenceError(str(exc), level=n) from exc
+    top = float(_eigenvalues(averaging_operator(pair, n), n)[-1])
+    if not top <= 1.0 + 1e-9:
+        raise ConvergenceError(f"eigenvalue {top!r} lies outside [-1, 1]", level=n)
     return max(0.0, 1.0 - top)
 
 
@@ -263,23 +124,13 @@ class GapProfile:
         return [(n, n + 1, gap) for n, gap in self.levels]
 
 
-def gap_profile(pair: Pair, n_max: int, workers: int = 1) -> GapProfile:
-    """Compute level_gap for n = 1..n_max and summarize the minimum.
-
-    Levels are independent; with workers > 1 they are computed concurrently
-    and merged by level index, so the result does not depend on scheduling.
-    """
+def gap_profile(pair: Pair, n_max: int) -> GapProfile:
+    """Compute level_gap for n = 1..n_max and summarize the minimum."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    levels = list(range(1, n_max + 1))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            gaps = list(pool.map(lambda n: level_gap(pair, n), levels))
-    else:
-        gaps = [level_gap(pair, n) for n in levels]
-    pairs = tuple(zip(levels, gaps))
-    argmin = min(pairs, key=lambda item: item[1])
-    return GapProfile(levels=pairs, min_gap=argmin[1], argmin_level=argmin[0])
+    levels = tuple((n, level_gap(pair, n)) for n in range(1, n_max + 1))
+    argmin = min(levels, key=lambda item: item[1])
+    return GapProfile(levels=levels, min_gap=argmin[1], argmin_level=argmin[0])
 
 
 def word_defect_check(
@@ -328,8 +179,4 @@ def min_defect_level(pair: Pair, n: int) -> float:
     da = eye - irrep_matrix(pair.a, n)
     db = eye - irrep_matrix(pair.b, n)
     m = da.conj().T @ da + db.conj().T @ db
-    try:
-        smallest = extreme_eigenvalue(m, largest=False)
-    except ConvergenceError as exc:
-        raise ConvergenceError(str(exc), level=n) from exc
-    return math.sqrt(max(0.0, smallest))
+    return math.sqrt(max(0.0, float(_eigenvalues(m, n)[0])))

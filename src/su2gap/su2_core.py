@@ -17,7 +17,6 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-UNIT_NORM_TOL = 1e-12
 APPROX_TOL = 1e-10
 RENORM_EVERY = 32
 
@@ -34,7 +33,7 @@ class SU2Element:
         object.__setattr__(self, "alpha", complex(self.alpha))
         object.__setattr__(self, "beta", complex(self.beta))
         norm_sq = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm_sq - 1.0) > 1e-9:
+        if not (math.isfinite(norm_sq) and abs(norm_sq - 1.0) <= 1e-9):
             raise ValueError(
                 f"not special unitary: |alpha|^2 + |beta|^2 = {norm_sq!r}; "
                 "use SU2Element.from_quaternion to normalize arbitrary input"

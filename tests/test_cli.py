@@ -234,11 +234,37 @@ class TestExitCodes:
         pair_file = tmp_path / "pair.json"
         pair_file.write_text(json.dumps({"type": "fricke", "x": 0.0, "t": 2.0}))
 
-        def explode(pair, n_max, workers=1):
+        def explode(pair, n_max):
             raise ConvergenceError("stalled", level=7)
 
         monkeypatch.setattr(su2gap.spectral, "gap_profile", explode)
         assert run_cli("gap-profile", "--pair", str(pair_file), "--nmax", "5") == 3
+
+    def test_impossible_eigenvalue_exit_three(self, tmp_path, monkeypatch, capsys):
+        pair_file = tmp_path / "pair.json"
+        pair_file.write_text(json.dumps({"type": "fricke", "x": 0.0, "t": 2.0}))
+        monkeypatch.setattr(
+            su2gap.spectral, "irrep_matrix", lambda g, n: 1.5 * np.eye(n + 1)
+        )
+        assert run_cli("gap-profile", "--pair", str(pair_file), "--nmax", "5") == 3
+        assert "(level 1)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("command", ["traces", "gap-profile"])
+    def test_non_finite_pair_file_exit_one(self, tmp_path, bad, command):
+        pair_file = tmp_path / "pair.json"
+        pair_file.write_text(f'{{"type":"matrix","a":[{bad},0,0,0],"b":[1,0,0,0]}}')
+        out = tmp_path / "out.csv"
+        argv = [command, "--pair", str(pair_file), "--out", str(out)]
+        if command == "gap-profile":
+            argv += ["--nmax", "3"]
+        assert run_cli(*argv) == 1
+        assert not out.exists()
+
+    def test_threads_flag_is_unknown(self, tmp_path):
+        pair_file = tmp_path / "pair.json"
+        pair_file.write_text(json.dumps({"type": "fricke", "x": 0.0, "t": 2.0}))
+        assert run_cli("gap-profile", "--pair", str(pair_file), "--threads", "2") == 1
 
     def test_unreadable_pair_file(self, tmp_path):
         assert run_cli("traces", "--pair", str(tmp_path / "missing.json")) == 1

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+import su2gap.spectral as spectral
 from su2gap import (
     IDENTITY,
+    ConvergenceError,
     Move,
     Pair,
     SU2Element,
@@ -29,6 +31,40 @@ from su2gap.su2_core import reduce_letters
 
 DIAG_I = SU2Element(1j, 0.0j)
 ROT_J = SU2Element(0.0j, -1.0 + 0.0j)
+
+
+def binomial_irrep_reference(g: SU2Element, n: int) -> np.ndarray:
+    """The level-n block by expanding the substituted monomials directly.
+
+    Column k is the image of sqrt(C(n, k)) x^(n-k) y^k under
+    x -> alpha x - conj(beta) y, y -> beta x + conj(alpha) y, expanded as a
+    convolution of two binomial rows.  Exact in exact arithmetic but
+    cancelling catastrophically past level 60 or so, so it is a reference for
+    the basis convention at low levels only.
+    """
+    if n == 0:
+        return np.ones((1, 1), dtype=complex)
+    alpha, beta = g.alpha, g.beta
+    sqrt_binom = np.array([math.sqrt(math.comb(n, k)) for k in range(n + 1)])
+    powers = np.arange(n + 1)
+    pow_alpha = alpha**powers
+    pow_nconj_beta = (-beta.conjugate()) ** powers
+    pow_beta = beta**powers
+    pow_conj_alpha = alpha.conjugate() ** powers
+    out = np.empty((n + 1, n + 1), dtype=complex)
+    for k in range(n + 1):
+        first = np.array([float(math.comb(n - k, i)) for i in range(n - k + 1)])
+        first = first * pow_alpha[: n - k + 1][::-1] * pow_nconj_beta[: n - k + 1]
+        second = np.array([float(math.comb(k, m)) for m in range(k + 1)])
+        second = second * pow_beta[: k + 1][::-1] * pow_conj_alpha[: k + 1]
+        out[:, k] = np.convolve(first, second) * (sqrt_binom[k] / sqrt_binom)
+    return out
+
+
+def character_oracle(g: SU2Element, n: int) -> float:
+    """tr(pi_n(g)) = sin((n+1) theta) / sin(theta), with trace(g) = 2 cos(theta)."""
+    theta = math.acos(max(-1.0, min(1.0, trace(g) / 2.0)))
+    return math.sin((n + 1) * theta) / math.sin(theta)
 
 
 class TestIrrepMatrix:
@@ -76,6 +112,57 @@ class TestIrrepMatrix:
     def test_rejects_negative_level(self, rng):
         with pytest.raises(ValueError):
             irrep_matrix(haar_sample(rng), -1)
+
+    def test_center_acts_by_sign(self, rng):
+        # pi_n(-g) = (-1)^n pi_n(g), also for rotation angles near pi, where
+        # log g is ill conditioned
+        minus = SU2Element(-1.0 + 0.0j, 0.0j)
+        elements = [SU2Element.from_quaternion(1.0, 1e-9, -2e-9, 3e-9)]
+        elements += [haar_sample(rng) for _ in range(5)]
+        for n in (1, 2, 3, 8, 51, 200):
+            np.testing.assert_allclose(
+                irrep_matrix(minus, n), (-1) ** n * np.eye(n + 1), rtol=0, atol=1e-15
+            )
+            for g in elements:
+                negated = SU2Element(-g.alpha, -g.beta)
+                np.testing.assert_allclose(
+                    irrep_matrix(negated, n), (-1) ** n * irrep_matrix(g, n), rtol=0, atol=1e-9
+                )
+
+    def test_matches_binomial_expansion_at_low_levels(self, rng):
+        # pins the monomial basis convention independently of the construction
+        for _ in range(30):
+            g = haar_sample(rng)
+            for n in range(31):
+                np.testing.assert_allclose(
+                    irrep_matrix(g, n), binomial_irrep_reference(g, n), rtol=0, atol=1e-10
+                )
+
+    @pytest.mark.parametrize("n", [100, 200, 400])
+    def test_high_level_unitarity_homomorphism_character(self, rng, n):
+        eye = np.eye(n + 1)
+        for _ in range(3):
+            g, h = haar_sample(rng), haar_sample(rng)
+            pg, ph = irrep_matrix(g, n), irrep_matrix(h, n)
+            assert np.linalg.norm(pg.conj().T @ pg - eye) < 1e-9
+            assert np.linalg.norm(irrep_matrix(g * h, n) - pg @ ph) < 1e-9
+            character = float(np.trace(pg).real)
+            assert abs(character - character_oracle(g, n)) < 1e-9
+
+    def test_lps_ramanujan_bound(self):
+        # Lubotzky-Phillips-Sarnak (CPAM 39, 1986): the six p = 5 generators
+        # (1 +- 2i, 1 +- 2j, 1 +- 2k) / sqrt(5) average to an operator whose
+        # eigenvalues on every nontrivial level have |lambda| <= 2 sqrt(5) / 6.
+        generators = [
+            SU2Element.from_quaternion(1, *(s * e for e in unit))
+            for unit in ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+            for s in (1, -1)
+        ]
+        bound = 2.0 * math.sqrt(5.0) / 6.0
+        for n in range(1, 161):
+            average = sum(irrep_matrix(g, n) for g in generators) / 6.0
+            radius = float(np.abs(np.linalg.eigvalsh(average)).max())
+            assert radius <= bound + 1e-9, (n, radius)
 
 
 class TestAveragingOperator:
@@ -152,6 +239,22 @@ class TestLevelGap:
             gap = level_gap(haar_pair(rng), 5)
             assert 0.0 <= gap <= 2.0
 
+    def test_impossible_eigenvalue_raises(self, lps_pair, monkeypatch):
+        monkeypatch.setattr(spectral, "irrep_matrix", lambda g, n: 1.5 * np.eye(n + 1))
+        with pytest.raises(ConvergenceError) as info:
+            level_gap(lps_pair, 4)
+        assert info.value.level == 4
+
+    def test_eigensolver_failure_raises_with_level(self, lps_pair, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        for compute in (level_gap, min_defect_level):
+            with pytest.raises(ConvergenceError) as info:
+                compute(lps_pair, 3)
+            assert info.value.level == 3
+
 
 class TestGapProfile:
     def test_identity_pair_min_zero(self):
@@ -187,11 +290,6 @@ class TestGapProfile:
         profile = gap_profile(Pair(DIAG_I, ROT_J), 4)
         assert profile.min_gap <= 1e-12
         assert profile.argmin_level <= 4
-
-    def test_workers_agree_with_serial(self, lps_pair):
-        serial = gap_profile(lps_pair, 12)
-        threaded = gap_profile(lps_pair, 12, workers=4)
-        assert serial.levels == threaded.levels
 
     def test_requires_positive_nmax(self, lps_pair):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Group arithmetic, Haar sampling, and word evaluation."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,13 @@ class TestTraceAndProducts:
     def test_constructor_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             SU2Element(0.5 + 0.0j, 0.0j)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_constructor_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            SU2Element(bad, 0.0j)
+        with pytest.raises(ValueError):
+            SU2Element(0.0j, bad)
 
 
 class TestCommutator:
