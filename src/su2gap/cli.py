@@ -249,14 +249,13 @@ def _cmd_defect(args) -> str:
         raise _UsageError(str(exc)) from exc
     rng = np.random.default_rng(args.seed)
     dim = args.level + 1
-    rows = []
-    max_violation = -np.inf
+    vectors = np.empty((dim, args.trials), dtype=complex)
     for trial in range(args.trials):
         v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        lhs, rhs = spectral.word_defect_check(pair, word, args.level, v)
-        rows.append([trial, lhs, rhs])
-        max_violation = max(max_violation, lhs - rhs)
+        vectors[:, trial] = v / np.linalg.norm(v)
+    lhs, rhs = spectral.word_defect_check(pair, word, args.level, vectors)
+    rows = [[trial, float(l), float(r)] for trial, (l, r) in enumerate(zip(lhs, rhs))]
+    max_violation = np.max(lhs - rhs)
     meta = {
         "word": word.to_string(),
         "level": args.level,

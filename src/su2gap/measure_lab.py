@@ -38,23 +38,21 @@ def _commutator_trace(alpha_a, beta_a, alpha_b, beta_b):
     return 2.0 * comm[0].real
 
 
-def _haar_fricke_samples(rng: np.random.Generator, count: int):
-    """(x, t) coordinates of `count` Haar pairs, drawn in fixed-size chunks."""
-    xs = np.empty(count)
-    ts = np.empty(count)
+def _haar_fricke_chunks(rng: np.random.Generator, count: int):
+    """(x, t) coordinates of `count` Haar pairs, yielded in fixed-size chunks."""
     done = 0
     while done < count:
         size = min(_CHUNK, count - done)
         qa = haar_quaternions(rng, size)
         qb = haar_quaternions(rng, size)
-        alpha_a = qa[:, 0] + 1j * qa[:, 1]
-        beta_a = qa[:, 2] + 1j * qa[:, 3]
-        alpha_b = qb[:, 0] + 1j * qb[:, 1]
-        beta_b = qb[:, 2] + 1j * qb[:, 3]
-        xs[done : done + size] = 2.0 * alpha_a.real
-        ts[done : done + size] = _commutator_trace(alpha_a, beta_a, alpha_b, beta_b)
+        t = _commutator_trace(
+            qa[:, 0] + 1j * qa[:, 1],
+            qa[:, 2] + 1j * qa[:, 3],
+            qb[:, 0] + 1j * qb[:, 1],
+            qb[:, 2] + 1j * qb[:, 3],
+        )
+        yield 2.0 * qa[:, 0], t
         done += size
-    return xs, ts
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,15 +92,17 @@ def pushforward_histogram(sample_count: int, bins: int, seed: int) -> Histogram2
     if bins < 2:
         raise ValueError("bins must be at least 2")
     rng = np.random.default_rng(seed)
-    xs, ts = _haar_fricke_samples(rng, sample_count)
-    counts, _, _ = np.histogram2d(
-        np.clip(xs, -2.0, 2.0),
-        np.clip(ts, -2.0, 2.0),
-        bins=bins,
-        range=[[-2.0, 2.0], [-2.0, 2.0]],
-    )
+    counts = np.zeros((bins, bins), dtype=np.int64)
+    for xs, ts in _haar_fricke_chunks(rng, sample_count):
+        chunk_counts, _, _ = np.histogram2d(
+            np.clip(xs, -2.0, 2.0),
+            np.clip(ts, -2.0, 2.0),
+            bins=bins,
+            range=[[-2.0, 2.0], [-2.0, 2.0]],
+        )
+        counts += chunk_counts.astype(np.int64)
     return Histogram2D(
-        counts=counts.astype(np.int64),
+        counts=counts,
         bins_per_axis=bins,
         total=sample_count,
         seed=seed,
@@ -169,8 +169,11 @@ def boundary_mass(sample_count: int, delta: float, seed: int) -> float:
     if delta <= 0:
         raise ValueError("delta must be positive")
     rng = np.random.default_rng(seed)
-    xs, ts = _haar_fricke_samples(rng, sample_count)
-    return float(np.mean(boundary_distance(xs, ts) <= delta))
+    hits = sum(
+        int(np.count_nonzero(boundary_distance(xs, ts) <= delta))
+        for xs, ts in _haar_fricke_chunks(rng, sample_count)
+    )
+    return hits / sample_count
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,14 @@ together with word-defect bounds and the minimal two-generator defect.
 
 Each block is the exponential of the tridiagonal Lie-algebra image of log g,
 diagonalized exactly (Feng, Wang, Yang, Jin, Phys. Rev. E 92, 043307, 2015),
-so it stays unitary to rounding at every level.  All eigenvalues come from
+so it stays unitary to rounding at every level.  A diagonal phase change
+makes that image a real symmetric tridiagonal matrix, so every block comes
+from one real eigendecomposition.
+
+The gap is unchanged when the pair is conjugated simultaneously, so it
+depends only on the trace triple (tr a, tr b, tr ab).  level_gap computes it
+on the canonical conjugate of the pair, where a is diagonal and the whole
+averaging operator is a real symmetric matrix.  All eigenvalues come from
 LAPACK through numpy.
 
 A truncated profile is evidence, not a certificate: the true spectral gap is
@@ -21,6 +28,7 @@ produced here carries that caveat.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -28,6 +36,33 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .su2_core import Pair, SU2Element, Word, evaluate_word
+
+
+def _real_tridiagonal_exp(alpha: complex, beta: complex, n: int):
+    """(sign, phase, w, V) with, for g = (alpha, beta),
+
+        pi_n(g) = sign * diag(phase) (V diag(e^{iw}) V^T) diag(phase)*.
+
+    With D as in irrep_matrix and c = -i q, the phase u_k = e^{-ik arg c}
+    turns -iD into the real symmetric tridiagonal T with diagonal
+    (n - 2k) Im(p) and off-diagonal |c| sqrt((k+1)(n-k)); (w, V) = eigh(T).
+    When Re(alpha) < 0, -g is used with the sign (-1)^n, so the rotation
+    angle stays at most pi/2 and log g is well conditioned.
+    """
+    sign = 1.0
+    if alpha.real < 0.0:
+        alpha, beta, sign = -alpha, -beta, (-1.0) ** n
+    sin_angle = math.hypot(alpha.imag, abs(beta))
+    scale = math.atan2(sin_angle, alpha.real) / sin_angle if sin_angle > 0.0 else 1.0
+    k = np.arange(n + 1)
+    angle = cmath.phase(-1j * beta) if beta else 0.0
+    phase = np.exp((-1j * angle) * k)
+    tri = np.zeros((n + 1, n + 1))
+    tri[k, k] = (n - 2.0 * k) * (alpha.imag * scale)
+    # eigh reads only the lower triangle
+    tri[k[1:], k[:-1]] = (scale * abs(beta)) * np.sqrt((n - k[:-1]) * (k[:-1] + 1.0))
+    w, v = np.linalg.eigh(tri)
+    return sign, phase, w, v
 
 
 def irrep_matrix(g: SU2Element, n: int) -> np.ndarray:
@@ -43,9 +78,8 @@ def irrep_matrix(g: SU2Element, n: int) -> np.ndarray:
         D[k, k] = (n - 2k) p,  D[k+1, k] = -conj(q) sqrt((n-k)(k+1)),
         D[k, k+1] = q sqrt((k+1)(n-k)),
 
-    and the block is exp(D) = V diag(e^{iw}) V* from eigh(-iD) = (w, V).
-    When Re(alpha) < 0, -g is used with the sign (-1)^n, so the rotation
-    angle stays at most pi/2 and log g is well conditioned.
+    and the block is exp(D), computed from one real eigendecomposition of
+    -iD after a diagonal phase change (see _real_tridiagonal_exp).
     """
     if n < 0:
         raise ValueError("irrep level must be nonnegative")
@@ -53,18 +87,9 @@ def irrep_matrix(g: SU2Element, n: int) -> np.ndarray:
         return np.ones((1, 1), dtype=complex)
     if n == 1:
         return g.matrix
-    alpha, beta, sign = g.alpha, g.beta, 1.0
-    if alpha.real < 0.0:
-        alpha, beta, sign = -alpha, -beta, (-1.0) ** n
-    sin_angle = math.hypot(alpha.imag, abs(beta))
-    scale = math.atan2(sin_angle, alpha.real) / sin_angle if sin_angle > 0.0 else 1.0
-    k = np.arange(n + 1)
-    off = np.sqrt((n - k[:-1]) * (k[:-1] + 1.0))
-    herm = np.diag((n - 2.0 * k) * (alpha.imag * scale)).astype(complex)
-    herm += np.diag((-1j * scale * beta) * off, 1)
-    herm += np.diag((1j * scale * beta.conjugate()) * off, -1)
-    w, v = np.linalg.eigh(herm)
-    return sign * (v * np.exp(1j * w)) @ v.conj().T
+    sign, phase, w, v = _real_tridiagonal_exp(g.alpha, g.beta, n)
+    block = (v * np.cos(w)) @ v.T + 1j * ((v * np.sin(w)) @ v.T)
+    return block * (sign * np.outer(phase, phase.conj()))
 
 
 def averaging_operator(pair: Pair, n: int) -> np.ndarray:
@@ -90,6 +115,19 @@ def _eigenvalues(matrix: np.ndarray, n: int) -> np.ndarray:
 def level_gap(pair: Pair, n: int) -> float:
     """1 - lambda_max of the level-n averaging operator.
 
+    The operator is formed for the canonical conjugate (a', b') of the pair,
+    which has the same trace triple and hence the same spectrum.  With
+    v = (Im alpha, Re beta, Im beta) the axis of an element,
+
+        a' = Re(alpha_a) + i |v_a|                             (diagonal),
+        b' = (Re(alpha_b) + i v_a.v_b / |v_a|,  i |v_a x v_b| / |v_a|),
+
+    where any unit vector stands in for v_a / |v_a| when v_a = 0.  Then
+    pi(a') + pi(a')* is 2 diag(cos((n - 2k) theta_a)), and pi(b') + pi(b')*
+    is 2 sign V diag(cos w) V^T up to the diagonal phase of
+    _real_tridiagonal_exp, which commutes with the diagonal pi(a') and so
+    leaves the spectrum alone.
+
     Rounding just below zero is reported as 0.  Raises ConvergenceError
     (annotated with the level) if the eigensolver fails, or if lambda_max is
     not at most 1 + 1e-9, which a unitary block cannot produce; NaN fails
@@ -97,7 +135,20 @@ def level_gap(pair: Pair, n: int) -> float:
     """
     if n < 1:
         raise ValueError("level_gap requires level n >= 1")
-    top = float(_eigenvalues(averaging_operator(pair, n), n)[-1])
+    a, b = pair
+    va = (a.alpha.imag, a.beta.real, a.beta.imag)
+    vb = (b.alpha.imag, b.beta.real, b.beta.imag)
+    norm_a = math.hypot(*va)
+    ex, ey, ez = (x / norm_a for x in va) if norm_a > 0.0 else (1.0, 0.0, 0.0)
+    vx, vy, vz = vb
+    along = ex * vx + ey * vy + ez * vz
+    across = math.hypot(ey * vz - ez * vy, ez * vx - ex * vz, ex * vy - ey * vx)
+    alpha_b, beta_b = complex(b.alpha.real, along), complex(0.0, across)
+    sign, _, w, v = _real_tridiagonal_exp(alpha_b, beta_b, n)
+    operator = (v * (0.5 * sign * np.cos(w))) @ v.T
+    k = np.arange(n + 1)
+    operator[k, k] += 0.5 * np.cos((n - 2.0 * k) * math.atan2(norm_a, a.alpha.real))
+    top = float(_eigenvalues(operator, n)[-1])
     if not top <= 1.0 + 1e-9:
         raise ConvergenceError(f"eigenvalue {top!r} lies outside [-1, 1]", level=n)
     return max(0.0, 1.0 - top)
@@ -133,9 +184,7 @@ def gap_profile(pair: Pair, n_max: int) -> GapProfile:
     return GapProfile(levels=levels, min_gap=argmin[1], argmin_level=argmin[0])
 
 
-def word_defect_check(
-    pair: Pair, word: Word, n: int, v: np.ndarray
-) -> tuple[float, float]:
+def word_defect_check(pair: Pair, word: Word, n: int, v: np.ndarray):
     """Displacement of a word against the word-length bound at level n.
 
     Returns (lhs, rhs) with
@@ -144,22 +193,31 @@ def word_defect_check(
         rhs = len(w) * max over s in {a, a^-1, b, b^-1} of || pi_n(s) v - v ||
 
     The triangle inequality and unitarity give lhs <= rhs for every unit v.
+    v is either one unit vector of dimension n + 1, giving two floats, or an
+    (n + 1, k) array of unit columns, giving two length-k arrays; the three
+    blocks are built once either way.
     """
     v = np.asarray(v, dtype=complex)
-    if v.shape != (n + 1,):
+    if v.ndim not in (1, 2) or v.shape[0] != n + 1:
         raise ValueError(f"v must have dimension n + 1 = {n + 1}")
-    norm_v = np.linalg.norm(v)
-    if abs(norm_v - 1.0) > 1e-6:
-        raise ValueError("v must be a unit vector")
+    columns = v.reshape(n + 1, -1)
+    if np.any(np.abs(np.linalg.norm(columns, axis=0) - 1.0) > 1e-6):
+        raise ValueError("v must be a unit vector, or an array of unit columns")
     pw = irrep_matrix(evaluate_word(word, pair), n)
-    lhs = float(np.linalg.norm(pw @ v - v))
+    lhs = np.linalg.norm(pw @ columns - columns, axis=0)
     pa = irrep_matrix(pair.a, n)
     pb = irrep_matrix(pair.b, n)
-    generator_defect = max(
-        float(np.linalg.norm(m @ v - v))
-        for m in (pa, pa.conj().T, pb, pb.conj().T)
+    generator_defect = np.max(
+        [
+            np.linalg.norm(m @ columns - columns, axis=0)
+            for m in (pa, pa.conj().T, pb, pb.conj().T)
+        ],
+        axis=0,
     )
-    return lhs, len(word) * generator_defect
+    rhs = len(word) * generator_defect
+    if v.ndim == 1:
+        return float(lhs[0]), float(rhs[0])
+    return lhs, rhs
 
 
 def min_defect_level(pair: Pair, n: int) -> float:

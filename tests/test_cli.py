@@ -244,7 +244,7 @@ class TestExitCodes:
         pair_file = tmp_path / "pair.json"
         pair_file.write_text(json.dumps({"type": "fricke", "x": 0.0, "t": 2.0}))
         monkeypatch.setattr(
-            su2gap.spectral, "irrep_matrix", lambda g, n: 1.5 * np.eye(n + 1)
+            su2gap.spectral, "_eigenvalues", lambda matrix, n: np.full(len(matrix), 1.5)
         )
         assert run_cli("gap-profile", "--pair", str(pair_file), "--nmax", "5") == 3
         assert "(level 1)" in capsys.readouterr().err

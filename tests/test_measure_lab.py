@@ -16,7 +16,8 @@ from su2gap import (
     trace,
     trace_triple,
 )
-from su2gap.measure_lab import _parabola_segment_distance
+from su2gap.measure_lab import _CHUNK, _parabola_segment_distance
+from su2gap.su2_core import haar_quaternions
 
 # chi-square 0.999 quantile at 49 degrees of freedom
 CHI2_CRIT_49_999 = 85.3505646085
@@ -116,6 +117,50 @@ class TestBoundaryMass:
     def test_validation(self):
         with pytest.raises(ValueError):
             boundary_mass(100, 0.0, seed=0)
+
+
+def unchunked_fricke_reference(count, seed):
+    """(x, t) of the same Haar draws as the library, from 2x2 matrix products
+    over the whole sample at once."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for start in range(0, count, _CHUNK):
+        size = min(_CHUNK, count - start)
+        draws.append((haar_quaternions(rng, size), haar_quaternions(rng, size)))
+    qa = np.concatenate([d[0] for d in draws])
+    qb = np.concatenate([d[1] for d in draws])
+
+    def matrices(q):
+        alpha, beta = q[:, 0] + 1j * q[:, 1], q[:, 2] + 1j * q[:, 3]
+        return np.stack(
+            [np.stack([alpha, beta], -1), np.stack([-beta.conj(), alpha.conj()], -1)], -2
+        )
+
+    def inverse(m):
+        return np.conj(np.swapaxes(m, -1, -2))
+
+    a, b = matrices(qa), matrices(qb)
+    comm = a @ b @ inverse(a) @ inverse(b)
+    return 2.0 * qa[:, 0], np.trace(comm, axis1=-2, axis2=-1).real
+
+
+class TestChunking:
+    # one sample past a chunk boundary, so two chunks are drawn
+    COUNT = _CHUNK + 17
+
+    def test_boundary_mass_matches_unchunked_reference(self):
+        xs, ts = unchunked_fricke_reference(self.COUNT, seed=7)
+        for delta in (0.05, 0.3):
+            expected = float(np.mean(boundary_distance(xs, ts) <= delta))
+            assert boundary_mass(self.COUNT, delta, seed=7) == expected
+
+    def test_histogram_matches_unchunked_reference(self):
+        xs, ts = unchunked_fricke_reference(self.COUNT, seed=9)
+        expected, _, _ = np.histogram2d(
+            np.clip(xs, -2.0, 2.0), np.clip(ts, -2.0, 2.0), bins=12, range=[[-2, 2], [-2, 2]]
+        )
+        counts = pushforward_histogram(self.COUNT, 12, seed=9).counts
+        np.testing.assert_array_equal(counts, expected.astype(np.int64))
 
 
 class TestSampleFiber:

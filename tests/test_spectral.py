@@ -231,8 +231,30 @@ class TestLevelGap:
             pair = haar_pair(rng)
             k = haar_sample(rng)
             moved = Pair(conjugate(pair.a, k), conjugate(pair.b, k))
-            for n in (1, 3, 8):
+            for n in (1, 3, 8, 150):
                 assert abs(level_gap(pair, n) - level_gap(moved, n)) < 1e-9
+
+    @pytest.mark.parametrize("n", [60, 120, 200])
+    def test_canonical_frame_against_averaging_operator(self, rng, n):
+        # level_gap works on a conjugate of the pair; averaging_operator builds
+        # the blocks of the pair as given
+        minus = SU2Element(-1.0 + 0.0j, 0.0j)
+        g, h = haar_sample(rng), haar_sample(rng)
+        axis = SU2Element.from_quaternion(0.3, 0.5, -0.4, 0.7)
+        pairs = [haar_pair(rng) for _ in range(3)]
+        pairs += [Pair(IDENTITY, g), Pair(minus, g), Pair(g, IDENTITY), Pair(g, minus)]
+        pairs += [
+            Pair(axis, axis * axis),  # parallel axes
+            Pair(axis, SU2Element(-axis.alpha.conjugate(), axis.beta)),  # parallel, Re alpha < 0
+            Pair(axis, SU2Element(axis.alpha.conjugate(), -axis.beta)),  # antiparallel
+            Pair(SU2Element(-g.alpha, -g.beta), h),  # Re alpha < 0 on either side
+            Pair(g, SU2Element(-h.alpha, -h.beta)),
+            Pair(SU2Element.from_quaternion(1.0, 1e-9, -2e-9, 3e-9), h),  # |v_a| ~ 1e-9
+            Pair(SU2Element.from_quaternion(-1.0, 1e-9, 0.0, 0.0), h),
+        ]
+        for pair in pairs:
+            oracle = 1.0 - np.linalg.eigvalsh(averaging_operator(pair, n))[-1]
+            assert abs(level_gap(pair, n) - oracle) < 1e-9
 
     def test_range(self, rng):
         for _ in range(30):
@@ -240,7 +262,8 @@ class TestLevelGap:
             assert 0.0 <= gap <= 2.0
 
     def test_impossible_eigenvalue_raises(self, lps_pair, monkeypatch):
-        monkeypatch.setattr(spectral, "irrep_matrix", lambda g, n: 1.5 * np.eye(n + 1))
+        # the spectrum of a 1.5 I averaging operator, which no unitary blocks give
+        monkeypatch.setattr(spectral, "_eigenvalues", lambda matrix, n: np.full(len(matrix), 1.5))
         with pytest.raises(ConvergenceError) as info:
             level_gap(lps_pair, 4)
         assert info.value.level == 4
@@ -337,6 +360,24 @@ class TestWordDefect:
             word_defect_check(pair, Word(), 3, np.ones(4))
         with pytest.raises(ValueError):
             word_defect_check(pair, Word(), 3, random_unit_vector(rng, 3))
+        columns = np.stack([random_unit_vector(rng, 4), np.ones(4)], axis=1)
+        with pytest.raises(ValueError):
+            word_defect_check(pair, Word(), 3, columns)
+        with pytest.raises(ValueError):
+            word_defect_check(pair, Word(), 3, np.ones((4, 1, 1)) / 2.0)
+
+    def test_batch_matches_single_vectors(self, rng):
+        for word, n in (("abAB", 4), ("aaBabA", 7), ("aBabAbaB", 10)):
+            pair = haar_pair(rng)
+            word = Word.from_string(word)
+            columns = np.stack([random_unit_vector(rng, n + 1) for _ in range(25)], axis=1)
+            lhs, rhs = word_defect_check(pair, word, n, columns)
+            assert lhs.shape == rhs.shape == (25,)
+            for j in range(25):
+                single = word_defect_check(pair, word, n, columns[:, j])
+                assert isinstance(single[0], float) and isinstance(single[1], float)
+                assert abs(lhs[j] - single[0]) < 1e-12
+                assert abs(rhs[j] - single[1]) < 1e-12
 
 
 def min_sum_displacement_oracle(pair, n, rng, iterations=300):
