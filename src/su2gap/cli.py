@@ -3,15 +3,18 @@
 All commands are seeded and deterministic: identical invocations produce
 byte-identical artifacts.  Output is CSV (default for tabular data) or JSON
 (default for pair records); CSV floats carry 17 significant digits so values
-round-trip losslessly.  Exit codes: 0 success, 1 usage error (including
-invalid input such as NaN or infinite pair components), 2 domain error,
-3 numerical error (an eigensolver failure, or an eigenvalue outside [-1, 1]).
+round-trip losslessly; neither format carries a bare NaN or infinity.
+Exit codes: 0 success, 1 usage error (including invalid input such as NaN or
+infinite pair components, and an --out path that cannot be written),
+2 domain error, 3 numerical error (an eigensolver failure, an eigenvalue
+outside [-1, 1], or a non-finite value in the artifact).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -48,42 +51,39 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
+def _render(command: str, fmt: str, meta: dict, columns, rows, extra: dict) -> str:
+    """The artifact text for one command: the only place CSV and JSON are written.
+
+    CSV is the meta header, the column line and the rows, with floats at 17
+    significant digits.  JSON is {"schema", "command"} | meta | extra; a key
+    of extra that is also in meta keeps meta's position and takes extra's
+    value.  A NaN or infinity in either form raises ConvergenceError, so no
+    artifact carries a bare non-finite number.
+    """
+    if fmt == "json":
+        body = {"schema": SCHEMA_VERSION, "command": command} | meta | extra
+        try:
+            return json.dumps(body, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise ConvergenceError(f"artifact holds a non-finite value: {exc}") from exc
+
+    def cell(value) -> str:
+        if not isinstance(value, float):
+            return str(value)
+        if not math.isfinite(value):
+            raise ConvergenceError(f"artifact holds a non-finite value: {value!r}")
         return f"{value:.17g}"
-    return str(value)
 
-
-def _csv_document(command: str, meta: dict, columns, rows) -> str:
     lines = [f"# schema={SCHEMA_VERSION}", f"# command={command}"]
-    lines += [f"# {key}={_fmt(value)}" for key, value in meta.items()]
+    lines += [f"# {key}={cell(value)}" for key, value in meta.items()]
     lines.append(",".join(columns))
-    lines += [",".join(_fmt(value) for value in row) for row in rows]
+    lines += [",".join(cell(value) for value in row) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def _json_document(command: str, payload: dict) -> str:
-    body = {"schema": SCHEMA_VERSION, "command": command}
-    body.update(payload)
-    return json.dumps(body, indent=2) + "\n"
-
-
-def _write_output(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise _UsageError(message)
-
-
-def _pair_row(pair: Pair) -> list[float]:
-    spec = pair_to_spec(pair)
-    return list(spec["a"]) + list(spec["b"])
 
 
 def _load_pair(path: str) -> Pair:
@@ -111,34 +111,37 @@ def _load_pair(path: str) -> Pair:
         raise _UsageError(f"invalid pair-spec in {path!r}: {exc}") from exc
 
 
+def _pairs_artifact(meta: dict, pairs) -> tuple:
+    specs = [pair_to_spec(p) for p in pairs]
+    rows = [[i, *spec["a"], *spec["b"]] for i, spec in enumerate(specs)]
+    return meta, ("index",) + _PAIR_COLUMNS, rows, {"pairs": specs}
+
+
 # ---------------------------------------------------------------------------
 # command handlers
+#
+# Each returns (meta, columns, rows, extra) for _render: meta is the CSV
+# header and the leading JSON keys, columns and rows are the CSV table, and
+# extra holds what only JSON prints.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_sample(args) -> str:
+def _cmd_sample(args) -> tuple:
     _require(args.count >= 1, "--count must be at least 1")
     rng = np.random.default_rng(args.seed)
     pairs = [haar_pair(rng) for _ in range(args.count)]
-    meta = {"seed": args.seed, "count": args.count}
-    if args.format == "json":
-        return _json_document(
-            "sample", meta | {"pairs": [pair_to_spec(p) for p in pairs]}
-        )
-    rows = [[i] + _pair_row(p) for i, p in enumerate(pairs)]
-    return _csv_document("sample", meta, ("index",) + _PAIR_COLUMNS, rows)
+    return _pairs_artifact({"seed": args.seed, "count": args.count}, pairs)
 
 
-def _cmd_traces(args) -> str:
+def _cmd_traces(args) -> tuple:
     pair = _load_pair(args.pair)
     x, y, z = trace_geometry.trace_triple(pair)
-    t = trace_geometry.pi_map(pair).t
-    if args.format == "json":
-        return _json_document("traces", {"x": x, "y": y, "z": z, "t": t})
-    return _csv_document("traces", {}, ("x", "y", "z", "t"), [[x, y, z, t]])
+    row = (x, y, z, trace_geometry.pi_map(pair).t)
+    columns = ("x", "y", "z", "t")
+    return {}, columns, [row], dict(zip(columns, row))
 
 
-def _cmd_construct(args) -> str:
+def _cmd_construct(args) -> tuple:
     if args.fricke is not None:
         x, t = args.fricke
         pair = trace_geometry.construct_pair_from_fricke(x, t)
@@ -147,12 +150,11 @@ def _cmd_construct(args) -> str:
         x, y, z = args.triple
         pair = trace_geometry.construct_pair_from_traces(x, y, z)
         meta = {"source": "traces", "x": x, "y": y, "z": z}
-    if args.format == "json":
-        return _json_document("construct", meta | pair_to_spec(pair))
-    return _csv_document("construct", meta, _PAIR_COLUMNS, [_pair_row(pair)])
+    spec = pair_to_spec(pair)
+    return meta, _PAIR_COLUMNS, [spec["a"] + spec["b"]], spec
 
 
-def _cmd_phi_iterate(args) -> str:
+def _cmd_phi_iterate(args) -> tuple:
     _require(-2.0 <= args.t0 <= 2.0, "--t0 must lie in [-2, 2]")
     _require(args.max_steps >= 1, "--max-steps must be at least 1")
     record = gap_dynamics.iterate_phi_endpoint(args.t0, args.max_steps)
@@ -162,66 +164,33 @@ def _cmd_phi_iterate(args) -> str:
         "max_steps": args.max_steps,
         "steps_to_negative": "not-reached" if reached is None else reached,
     }
-    if args.format == "json":
-        return _json_document(
-            "phi-iterate",
-            {
-                "t0": record.t0,
-                "max_steps": args.max_steps,
-                "steps_to_negative": reached,
-                "orbit": list(record.orbit),
-            },
-        )
-    rows = list(enumerate(record.orbit))
-    return _csv_document("phi-iterate", meta, ("step", "t"), rows)
+    extra = {"steps_to_negative": reached, "orbit": list(record.orbit)}
+    return meta, ("step", "t"), list(enumerate(record.orbit)), extra
 
 
-def _cmd_fiber_image(args) -> str:
+def _cmd_fiber_image(args) -> tuple:
     _require(-2.0 <= args.t <= 2.0, "--t must lie in [-2, 2]")
     _require(args.grid_points >= 2, "--grid-points must be at least 2")
-    analytic = gap_dynamics.fiber_image_interval(args.t)
-    numeric = gap_dynamics.fiber_image_numeric(args.t, args.grid_points)
-    if args.format == "json":
-        return _json_document(
-            "fiber-image",
-            {
-                "t": args.t,
-                "grid_points": args.grid_points,
-                "analytic": list(analytic),
-                "numeric": list(numeric),
-            },
-        )
+    analytic = list(gap_dynamics.fiber_image_interval(args.t))
+    numeric = list(gap_dynamics.fiber_image_numeric(args.t, args.grid_points))
+    meta = {"t": args.t, "grid_points": args.grid_points}
     rows = [["analytic", *analytic], ["numeric", *numeric]]
-    return _csv_document(
-        "fiber-image",
-        {"t": args.t, "grid_points": args.grid_points},
-        ("source", "lower", "upper"),
-        rows,
-    )
+    extra = {"analytic": analytic, "numeric": numeric}
+    return meta, ("source", "lower", "upper"), rows, extra
 
 
-def _cmd_orbit(args) -> str:
+def _cmd_orbit(args) -> tuple:
     _require(args.depth >= 0, "--depth must be nonnegative")
     _require(args.max_points >= 1, "--max-points must be at least 1")
     pair = _load_pair(args.pair)
     points = gap_dynamics.wordmap_orbit(pair, args.depth, args.max_points)
     meta = {"depth": args.depth, "max_points": args.max_points, "points": len(points)}
-    if args.format == "json":
-        return _json_document(
-            "orbit",
-            meta
-            | {
-                "orbit": [
-                    {"path": "".join(p.path), "x": p.coord.x, "t": p.coord.t}
-                    for p in points
-                ]
-            },
-        )
-    rows = [["".join(p.path), p.coord.x, p.coord.t] for p in points]
-    return _csv_document("orbit", meta, ("path", "x", "t"), rows)
+    columns = ("path", "x", "t")
+    rows = [("".join(p.path), p.coord.x, p.coord.t) for p in points]
+    return meta, columns, rows, {"orbit": [dict(zip(columns, row)) for row in rows]}
 
 
-def _cmd_gap_profile(args) -> str:
+def _cmd_gap_profile(args) -> tuple:
     _require(args.nmax >= 1, "--nmax must be at least 1")
     pair = _load_pair(args.pair)
     profile = spectral.gap_profile(pair, args.nmax)
@@ -231,15 +200,12 @@ def _cmd_gap_profile(args) -> str:
         "argmin_level": profile.argmin_level,
         "note": GAP_NOTE,
     }
-    if args.format == "json":
-        return _json_document(
-            "gap-profile",
-            meta | {"levels": [{"n": n, "dim": d, "gap": g} for n, d, g in profile.rows()]},
-        )
-    return _csv_document("gap-profile", meta, ("n", "dim", "gap"), profile.rows())
+    columns = ("n", "dim", "gap")
+    rows = profile.rows()
+    return meta, columns, rows, {"levels": [dict(zip(columns, row)) for row in rows]}
 
 
-def _cmd_defect(args) -> str:
+def _cmd_defect(args) -> tuple:
     _require(args.level >= 1, "--level must be at least 1")
     _require(args.trials >= 1, "--trials must be at least 1")
     pair = _load_pair(args.pair)
@@ -263,15 +229,12 @@ def _cmd_defect(args) -> str:
         "seed": args.seed,
         "max_violation": float(max_violation),
     }
-    if args.format == "json":
-        return _json_document(
-            "defect",
-            meta | {"trials_data": [{"trial": t, "lhs": l, "rhs": r} for t, l, r in rows]},
-        )
-    return _csv_document("defect", meta, ("trial", "lhs", "rhs"), rows)
+    columns = ("trial", "lhs", "rhs")
+    records = [dict(zip(columns, row)) for row in rows]
+    return meta, columns, rows, {"trials_data": records}
 
 
-def _cmd_density(args) -> str:
+def _cmd_density(args) -> tuple:
     _require(args.samples >= 1, "--samples must be at least 1")
     _require(args.bins >= 2, "--bins must be at least 2")
     hist = measure_lab.pushforward_histogram(args.samples, args.bins, args.seed)
@@ -282,32 +245,23 @@ def _cmd_density(args) -> str:
         "total": hist.total,
         "seed": hist.seed,
     }
-    if args.format == "json":
-        return _json_document(
-            "density", meta | {"counts": hist.counts.tolist()}
-        )
+    counts = hist.counts.tolist()
     rows = [
-        [row, col, int(hist.counts[row, col])]
-        for row in range(args.bins)
-        for col in range(args.bins)
+        [row, col, count]
+        for row, line in enumerate(counts)
+        for col, count in enumerate(line)
     ]
-    return _csv_document("density", meta, ("row", "col", "count"), rows)
+    return meta, ("row", "col", "count"), rows, {"counts": counts}
 
 
-def _cmd_fiber_sample(args) -> str:
+def _cmd_fiber_sample(args) -> tuple:
     _require(-2.0 <= args.t <= 2.0, "--t must lie in [-2, 2]")
     _require(args.count >= 1, "--count must be at least 1")
     pairs = measure_lab.sample_fiber(args.t, args.count, args.seed)
-    meta = {"t": args.t, "count": args.count, "seed": args.seed}
-    if args.format == "json":
-        return _json_document(
-            "fiber-sample", meta | {"pairs": [pair_to_spec(p) for p in pairs]}
-        )
-    rows = [[i] + _pair_row(p) for i, p in enumerate(pairs)]
-    return _csv_document("fiber-sample", meta, ("index",) + _PAIR_COLUMNS, rows)
+    return _pairs_artifact({"t": args.t, "count": args.count, "seed": args.seed}, pairs)
 
 
-def _cmd_fiber_transport(args) -> str:
+def _cmd_fiber_transport(args) -> tuple:
     _require(-2.0 <= args.t <= 2.0, "--t must lie in [-2, 2]")
     _require(args.count >= 1, "--count must be at least 1")
     _require(args.bins >= 2, "--bins must be at least 2")
@@ -323,10 +277,8 @@ def _cmd_fiber_transport(args) -> str:
         "total": demo.total,
         "seed": demo.seed,
     }
-    if args.format == "json":
-        return _json_document("fiber-transport", meta | {"counts": demo.counts.tolist()})
-    rows = list(enumerate(int(c) for c in demo.counts))
-    return _csv_document("fiber-transport", meta, ("bin", "count"), rows)
+    counts = demo.counts.tolist()
+    return meta, ("bin", "count"), list(enumerate(counts)), {"counts": counts}
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +416,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text = args.handler(args)
+        text = _render(args.command, args.format, *args.handler(args))
     except _UsageError as exc:
         print(f"su2gap: error: {exc}", file=sys.stderr)
         return 1
@@ -475,7 +427,15 @@ def main(argv=None) -> int:
         level = f" (level {exc.level})" if exc.level is not None else ""
         print(f"su2gap: numerical error{level}: {exc}", file=sys.stderr)
         return 3
-    _write_output(args, text)
+    if not args.out:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(args.out, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"su2gap: error: cannot write {args.out!r}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

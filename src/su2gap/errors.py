@@ -6,9 +6,9 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A numerical computation failed: the eigensolver did not converge, or
-    it returned an eigenvalue that an averaging operator cannot have (one
-    outside [-1, 1]).
+    """A numerical computation failed: the eigensolver did not converge, it
+    returned an eigenvalue that an averaging operator cannot have (one
+    outside [-1, 1]), or a result to be written holds a NaN or infinity.
 
     Carries the irrep level at which the failure occurred when known.
     """

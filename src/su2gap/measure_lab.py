@@ -255,7 +255,6 @@ class TransportHistogram:
     bins: int
     total: int
     seed: int
-    value_range: tuple[float, float] = (-2.0, 2.0)
 
 
 def fiber_transport_demo(

@@ -227,14 +227,12 @@ def min_defect_level(pair: Pair, n: int) -> float:
 
         M = (I - pi(a))*(I - pi(a)) + (I - pi(b))*(I - pi(b)).
 
-    The value lower-bounds min over unit v of ||pi(a)v - v|| + ||pi(b)v - v||
-    and is within a factor sqrt(2) of it.  It vanishes exactly when the two
-    generators share a fixed vector at this level.
+    Unitarity gives M = 4 (I - A) for the averaging operator A, so this is
+    2 sqrt(level_gap(pair, n)).  The value lower-bounds min over unit v of
+    ||pi(a)v - v|| + ||pi(b)v - v|| and is within a factor sqrt(2) of it.  It
+    vanishes exactly when the two generators share a fixed vector at this
+    level.
     """
     if n < 1:
         raise ValueError("min_defect_level requires level n >= 1")
-    eye = np.eye(n + 1, dtype=complex)
-    da = eye - irrep_matrix(pair.a, n)
-    db = eye - irrep_matrix(pair.b, n)
-    m = da.conj().T @ da + db.conj().T @ db
-    return math.sqrt(max(0.0, float(_eigenvalues(m, n)[0])))
+    return 2.0 * math.sqrt(level_gap(pair, n))

@@ -19,7 +19,15 @@ import math
 from typing import NamedTuple
 
 from .errors import DomainError
-from .su2_core import IDENTITY, Pair, SU2Element, commutator, multiply, trace
+from .su2_core import (
+    IDENTITY,
+    Pair,
+    SU2Element,
+    commutator,
+    multiply,
+    pair_from_matrix_spec,
+    trace,
+)
 
 MEMBERSHIP_TOL = 1e-12
 CONSTRUCTION_TOL = 1e-10
@@ -174,8 +182,6 @@ def pair_from_spec(spec: dict) -> Pair:
     """
     kind = spec.get("type")
     if kind == "matrix":
-        from .su2_core import pair_from_matrix_spec
-
         return pair_from_matrix_spec(spec)
     if kind == "fricke":
         return construct_pair_from_fricke(float(spec["x"]), float(spec["t"]))

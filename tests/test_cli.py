@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import su2gap.spectral
-from su2gap.cli import main
+from su2gap.cli import build_parser, main
 from su2gap.errors import ConvergenceError
+from su2gap.spectral import GapProfile
 
 
 def run_cli(*argv) -> int:
@@ -266,6 +267,25 @@ class TestExitCodes:
         pair_file.write_text(json.dumps({"type": "fricke", "x": 0.0, "t": 2.0}))
         assert run_cli("gap-profile", "--pair", str(pair_file), "--threads", "2") == 1
 
+    def test_unwritable_out_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run_cli("phi-iterate", "--t0", "1.9", "--out", str(out)) == 1
+        assert "cannot write" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_artifact_exit_three(self, tmp_path, monkeypatch, fmt):
+        pair_file = tmp_path / "pair.json"
+        pair_file.write_text(json.dumps({"type": "fricke", "x": 0.0, "t": 2.0}))
+        # a finite header with a NaN row, so both formats must look past meta
+        levels = ((1, 0.5), (2, float("nan")))
+        profile = GapProfile(levels=levels, min_gap=0.5, argmin_level=1)
+        monkeypatch.setattr(su2gap.spectral, "gap_profile", lambda pair, n_max: profile)
+        out = tmp_path / f"profile.{fmt}"
+        argv = ["gap-profile", "--pair", str(pair_file), "--format", fmt]
+        assert run_cli(*argv, "--out", str(out)) == 3
+        assert not out.exists()
+
     def test_unreadable_pair_file(self, tmp_path):
         assert run_cli("traces", "--pair", str(tmp_path / "missing.json")) == 1
 
@@ -275,3 +295,82 @@ class TestExitCodes:
         assert (
             run_cli("defect", "--pair", str(pair_file), "--word", "xyz") == 1
         )
+
+
+def parser_commands() -> list[str]:
+    """Every subcommand name that build_parser registers."""
+    (action,) = [a for a in build_parser()._actions if a.dest == "command"]
+    return sorted(action.choices)
+
+
+def table(key):
+    """CSV rows from a JSON list of records, in the CSV column order."""
+    return lambda record, columns: [[r[c] for c in columns] for r in record[key]]
+
+
+def pair_table(record, columns):
+    return [[i, *p["a"], *p["b"]] for i, p in enumerate(record["pairs"])]
+
+
+class TestFormatsAgree:
+    """The CSV and the JSON artifact of one invocation carry the same values."""
+
+    # argv after the command name ("{pair}" stands for a pair file), and the
+    # CSV rows recovered from the JSON document
+    CASES = {
+        "sample": (["--count", "3", "--seed", "5"], pair_table),
+        "traces": (["--pair", "{pair}"], lambda r, cols: [[r[c] for c in cols]]),
+        "construct": (["--fricke", "0.3", "0.7"], lambda r, cols: [r["a"] + r["b"]]),
+        "phi-iterate": (["--t0", "1.9"], lambda r, cols: list(enumerate(r["orbit"]))),
+        "fiber-image": (
+            ["--t", "0.5", "--grid-points", "51"],
+            lambda r, cols: [["analytic", *r["analytic"]], ["numeric", *r["numeric"]]],
+        ),
+        "orbit": (["--pair", "{pair}", "--depth", "3"], table("orbit")),
+        "gap-profile": (["--pair", "{pair}", "--nmax", "6"], table("levels")),
+        "defect": (
+            ["--pair", "{pair}", "--word", "abAB", "--level", "4", "--trials", "5"],
+            table("trials_data"),
+        ),
+        "density": (
+            ["--samples", "500", "--bins", "4", "--seed", "5"],
+            lambda r, cols: [
+                [i, j, c]
+                for i, line in enumerate(r["counts"])
+                for j, c in enumerate(line)
+            ],
+        ),
+        "fiber-sample": (["--t", "0.5", "--count", "3", "--seed", "5"], pair_table),
+        "fiber-transport": (
+            ["--t", "0.5", "--count", "50", "--seed", "5", "--bins", "4"],
+            lambda r, cols: list(enumerate(r["counts"])),
+        ),
+    }
+
+    @staticmethod
+    def same(cell: str, value) -> bool:
+        return cell == value if isinstance(value, str) else float(cell) == value
+
+    @pytest.mark.parametrize("command", parser_commands())
+    def test_csv_and_json_carry_the_same_values(self, tmp_path, command):
+        assert command in self.CASES, f"no format-agreement case for {command!r}"
+        args, json_rows = self.CASES[command]
+        pair_file = tmp_path / "pair.json"
+        pair_file.write_text(json.dumps({"type": "fricke", "x": 0.3, "t": 0.7}))
+        argv = [command] + [str(pair_file) if a == "{pair}" else a for a in args]
+        code_csv, csv_out = run_to_file(tmp_path, "a.csv", *argv, "--format", "csv")
+        code_json, json_out = run_to_file(tmp_path, "a.json", *argv, "--format", "json")
+        assert code_csv == code_json == 0
+        record = json.loads(json_out.read_text())
+        lines = csv_out.read_text().splitlines()
+        header = dict(line[2:].split("=", 1) for line in lines if line.startswith("# "))
+        columns, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+        assert header.pop("schema") == str(record["schema"])
+        assert header.pop("command") == record["command"] == command
+        for key, cell in header.items():
+            assert self.same(cell, record[key]), key
+        expected = json_rows(record, columns)
+        assert len(rows) == len(expected)
+        for row, values in zip(rows, expected):
+            assert len(row) == len(values) == len(columns)
+            assert all(self.same(c, v) for c, v in zip(row, values)), (row, values)

@@ -418,7 +418,25 @@ def min_sum_displacement_oracle(pair, n, rng, iterations=300):
     return best
 
 
+def defect_matrix_reference(pair: Pair, n: int) -> np.ndarray:
+    """M = (I - pi(a))*(I - pi(a)) + (I - pi(b))*(I - pi(b)) from the blocks."""
+    eye = np.eye(n + 1, dtype=complex)
+    da = eye - irrep_matrix(pair.a, n)
+    db = eye - irrep_matrix(pair.b, n)
+    return da.conj().T @ da + db.conj().T @ db
+
+
 class TestMinDefect:
+    @pytest.mark.parametrize("n", [1, 7, 40, 120])
+    def test_four_level_gaps_are_the_defect_minimum(
+        self, rng, lps_pair, commuting_pair, n
+    ):
+        pairs = [lps_pair, commuting_pair] + [haar_pair(rng) for _ in range(5)]
+        for pair in pairs:
+            lowest = np.linalg.eigvalsh(defect_matrix_reference(pair, n))[0]
+            assert abs(4.0 * level_gap(pair, n) - lowest) <= 1e-12
+            assert abs(min_defect_level(pair, n) ** 2 - lowest) <= 1e-12
+
     def test_identity_pair(self):
         assert min_defect_level(Pair(IDENTITY, IDENTITY), 3) == 0.0
 
