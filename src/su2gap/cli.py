@@ -13,6 +13,7 @@ outside [-1, 1], or a non-finite value in the artifact).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -409,10 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built once per process: parse_args leaves a parser unchanged
+# and gives each call a fresh namespace
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -5,9 +5,9 @@ Provides the empirical pushforward of Haar measure under the projection to
 sampling of commutator-trace fibers, and the transport of a fiber under
 squaring the first generator.
 
-Sampling is vectorized over flat arrays of (alpha, beta) components so that
-million-sample runs stay in numpy; the scalar element API is used where the
-per-sample work is a handful of products.
+Every sampler works on flat arrays of (alpha, beta) components, one numpy
+pass per chunk of Haar pairs or per fiber, so no per-sample Python code runs;
+SU2Element objects are built only for the pairs that sample_fiber returns.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFiberWarning
-from .gap_dynamics import Move, apply_move
-from .su2_core import Pair, conjugate, haar_quaternions, haar_sample
-from .trace_geometry import construct_pair_from_traces, pi_map
+from .su2_core import Pair, SU2Element, haar_quaternions
+from .trace_geometry import construct_components_from_traces
 
 _CHUNK = 1 << 18
 
@@ -30,29 +29,33 @@ def _mul(a1, b1, a2, b2):
     return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
 
 
-def _commutator_trace(alpha_a, beta_a, alpha_b, beta_b):
-    """tr(a b a^-1 b^-1) for arrays of element components."""
-    ab = _mul(alpha_a, beta_a, alpha_b, beta_b)
-    ab_ai = _mul(ab[0], ab[1], np.conj(alpha_a), -beta_a)
-    comm = _mul(ab_ai[0], ab_ai[1], np.conj(alpha_b), -beta_b)
-    return 2.0 * comm[0].real
+def _imag_part(alpha, beta):
+    """Imaginary part (i, j, k components) of the quaternion of (alpha, beta)."""
+    return alpha.imag, beta.real, beta.imag
+
+
+def _commutator_trace(u, v):
+    """tr(a b a^-1 b^-1) = 2 - 4 |u x v|^2 for unit quaternions a and b with
+    imaginary parts u and v, each three arrays; one cross component at a time."""
+    norm_sq = 0.0
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        c = u[j] * v[k] - u[k] * v[j]
+        norm_sq = norm_sq + c * c
+    return 2.0 - 4.0 * norm_sq
+
+
+def _haar_fricke_chunk(rng: np.random.Generator, size: int):
+    """(x, t) coordinates of `size` Haar pairs; the quaternions die on return."""
+    qa = haar_quaternions(rng, size)
+    qb = haar_quaternions(rng, size)
+    return 2.0 * qa[:, 0], _commutator_trace(qa.T[1:], qb.T[1:])
 
 
 def _haar_fricke_chunks(rng: np.random.Generator, count: int):
     """(x, t) coordinates of `count` Haar pairs, yielded in fixed-size chunks."""
-    done = 0
-    while done < count:
-        size = min(_CHUNK, count - done)
-        qa = haar_quaternions(rng, size)
-        qb = haar_quaternions(rng, size)
-        t = _commutator_trace(
-            qa[:, 0] + 1j * qa[:, 1],
-            qa[:, 2] + 1j * qa[:, 3],
-            qb[:, 0] + 1j * qb[:, 1],
-            qb[:, 2] + 1j * qb[:, 3],
-        )
-        yield 2.0 * qa[:, 0], t
-        done += size
+    for start in range(0, count, _CHUNK):
+        yield _haar_fricke_chunk(rng, min(_CHUNK, count - start))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,30 +126,31 @@ def _parabola_segment_distance(x, t):
     """
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
+
+    def gap_sq(u):
+        u = np.clip(u, -2.0, 2.0)
+        return (u - x) ** 2 + (u * u - 2.0 - t) ** 2
+
     p = -(3.0 + 2.0 * t) / 2.0
     q = -x / 2.0
     s = q * q / 4.0 + p**3 / 27.0
+    one_root = s >= 0.0
 
     # single real root (Cardano), valid where s >= 0
     root_s = np.sqrt(np.maximum(s, 0.0))
     u_card = np.cbrt(-q / 2.0 + root_s) + np.cbrt(-q / 2.0 - root_s)
+    best = gap_sq(np.where(one_root, u_card, 0.0))
 
     # three real roots (trigonometric form), valid where s < 0, which forces p < 0
-    p_safe = np.where(s < 0.0, p, -1.0)
+    p_safe = np.where(one_root, -1.0, p)
     m = 2.0 * np.sqrt(-p_safe / 3.0)
-    cos_arg = np.clip(3.0 * q / (p_safe * m), -1.0, 1.0)
-    theta = np.arccos(cos_arg) / 3.0
-    trig_roots = [m * np.cos(theta - 2.0 * np.pi * k / 3.0) for k in range(3)]
+    theta = np.arccos(np.clip(3.0 * q / (p_safe * m), -1.0, 1.0)) / 3.0
+    for k in range(3):
+        root = np.where(one_root, 0.0, m * np.cos(theta - 2.0 * np.pi * k / 3.0))
+        best = np.minimum(best, gap_sq(root))
 
-    candidates = [np.where(s >= 0.0, u_card, 0.0)]
-    candidates += [np.where(s < 0.0, root, 0.0) for root in trig_roots]
-    candidates += [np.full_like(x, -2.0), np.full_like(x, 2.0)]
-
-    best = None
-    for u in candidates:
-        u = np.clip(u, -2.0, 2.0)
-        d_sq = (u - x) ** 2 + (u * u - 2.0 - t) ** 2
-        best = d_sq if best is None else np.minimum(best, d_sq)
+    for end in (-2.0, 2.0):
+        best = np.minimum(best, gap_sq(end))
     return np.sqrt(best)
 
 
@@ -181,6 +185,58 @@ def boundary_mass(sample_count: int, delta: float, seed: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _fiber_triples(rng: np.random.Generator, t: float, count: int):
+    """Trace triples (x, y, z) of `count` fiber points at t, as arrays, in
+    (plane draw, z_plus before z_minus) order."""
+    parts, found = [], 0
+    while found < count:
+        draw = max(1024, 2 * (count - found))
+        xy = rng.uniform(-2.0, 2.0, size=(draw, 2))
+        x, y = xy[:, 0], xy[:, 1]
+        disc = x * x * y * y - 4.0 * (x * x + y * y - 2.0 - t)
+        has_roots = disc >= 0.0
+        sqrt_disc = np.sqrt(np.where(has_roots, disc, 0.0))
+        z = np.stack([(x * y + sqrt_disc) / 2.0, (x * y - sqrt_disc) / 2.0], axis=1)
+        keep = np.stack([has_roots, disc > 0.0], axis=1) & (np.abs(z) <= 2.0)
+        flat = np.flatnonzero(keep)[: count - found]
+        rows = flat // 2
+        parts.append((x[rows], y[rows], z.ravel()[flat]))
+        found += len(flat)
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+def _fiber_components(t: float, count: int, seed: int):
+    """(alpha_a, beta_a, alpha_b, beta_b) arrays of `count` pairs on the fiber
+    at t; see sample_fiber for the construction and its random streams."""
+    t = float(t)
+    if not -2.0 <= t <= 2.0:
+        raise ValueError(f"t = {t!r} must lie in [-2, 2]")
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+    rng_plane, rng_conj = streams
+
+    if t <= -2.0 + 1e-12:
+        warnings.warn(
+            "the fiber at t = -2 is a single conjugacy class; returning "
+            "conjugates of the (0, 0, 0) construction",
+            DegenerateFiberWarning,
+            stacklevel=3,
+        )
+        triples = (np.zeros(count),) * 3
+    else:
+        triples = _fiber_triples(rng_plane, t, count)
+    alpha_a, beta_a, alpha_b, beta_b = construct_components_from_traces(*triples)
+
+    k = haar_quaternions(rng_conj, count)
+    k_alpha, k_beta = k[:, 0] + 1j * k[:, 1], k[:, 2] + 1j * k[:, 3]
+
+    def conjugate(alpha, beta):  # k g k^-1
+        return _mul(*_mul(k_alpha, k_beta, alpha, beta), np.conj(k_alpha), -k_beta)
+
+    return (*conjugate(alpha_a, beta_a), *conjugate(alpha_b, beta_b))
+
+
 def sample_fiber(t: float, count: int, seed: int) -> list[Pair]:
     """Pairs whose commutator trace equals t, spread over the fiber.
 
@@ -198,51 +254,11 @@ def sample_fiber(t: float, count: int, seed: int) -> list[Pair]:
     fiber is sampled as Haar conjugates of the single construction and a
     DegenerateFiberWarning is issued.
     """
-    t = float(t)
-    if not -2.0 <= t <= 2.0:
-        raise ValueError(f"t = {t!r} must lie in [-2, 2]")
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
-    rng_plane, rng_conj = streams
-
-    if t <= -2.0 + 1e-12:
-        warnings.warn(
-            "the fiber at t = -2 is a single conjugacy class; returning "
-            "conjugates of the (0, 0, 0) construction",
-            DegenerateFiberWarning,
-            stacklevel=2,
-        )
-        base = construct_pair_from_traces(0.0, 0.0, 0.0)
-        out = []
-        for _ in range(count):
-            k = haar_sample(rng_conj)
-            out.append(Pair(conjugate(base.a, k), conjugate(base.b, k)))
-        return out
-
-    pairs: list[Pair] = []
-    while len(pairs) < count:
-        draw = max(1024, 2 * (count - len(pairs)))
-        xy = rng_plane.uniform(-2.0, 2.0, size=(draw, 2))
-        x, y = xy[:, 0], xy[:, 1]
-        disc = x * x * y * y - 4.0 * (x * x + y * y - 2.0 - t)
-        has_roots = disc >= 0.0
-        sqrt_disc = np.sqrt(np.where(has_roots, disc, 0.0))
-        z_plus = (x * y + sqrt_disc) / 2.0
-        z_minus = (x * y - sqrt_disc) / 2.0
-        for i in np.nonzero(has_roots)[0]:
-            roots = [z_plus[i]]
-            if disc[i] > 0.0:
-                roots.append(z_minus[i])
-            for z in roots:
-                if abs(z) > 2.0:
-                    continue
-                base = construct_pair_from_traces(x[i], y[i], z)
-                k = haar_sample(rng_conj)
-                pairs.append(Pair(conjugate(base.a, k), conjugate(base.b, k)))
-                if len(pairs) == count:
-                    return pairs
-    return pairs
+    components = (c.tolist() for c in _fiber_components(t, count, seed))
+    return [
+        Pair(SU2Element(alpha_a, beta_a), SU2Element(alpha_b, beta_b))
+        for alpha_a, beta_a, alpha_b, beta_b in zip(*components)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,10 +283,9 @@ def fiber_transport_demo(
     """
     if bins < 2:
         raise ValueError("bins must be at least 2")
-    samples = sample_fiber(t, count, seed)
-    values = np.array(
-        [pi_map(apply_move(pair, Move.SQUARE_FIRST)).t for pair in samples]
-    )
+    alpha_a, beta_a, alpha_b, beta_b = _fiber_components(t, count, seed)
+    square = _mul(alpha_a, beta_a, alpha_a, beta_a)
+    values = _commutator_trace(_imag_part(*square), _imag_part(alpha_b, beta_b))
     counts, _ = np.histogram(
         np.clip(values, -2.0, 2.0), bins=bins, range=(-2.0, 2.0)
     )

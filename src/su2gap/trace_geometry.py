@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DomainError
 from .su2_core import (
     IDENTITY,
@@ -57,13 +59,14 @@ def in_domain_D(x: float, t: float, tol: float = MEMBERSHIP_TOL) -> bool:
     )
 
 
-def in_omega(x: float, y: float, z: float, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Membership in Omega with one-sided boundary tolerance."""
+def in_omega(x, y, z, tol: float = MEMBERSHIP_TOL):
+    """Membership in Omega with one-sided boundary tolerance.  Accepts
+    scalars or arrays."""
     return (
-        abs(x) <= 2.0 + tol
-        and abs(y) <= 2.0 + tol
-        and abs(z) <= 2.0 + tol
-        and x * x + y * y + z * z - x * y * z - 4.0 <= tol
+        (abs(x) <= 2.0 + tol)
+        & (abs(y) <= 2.0 + tol)
+        & (abs(z) <= 2.0 + tol)
+        & (x * x + y * y + z * z - x * y * z - 4.0 <= tol)
     )
 
 
@@ -124,8 +127,9 @@ def construct_pair_from_fricke(x: float, t: float) -> Pair:
     return Pair(a, b)
 
 
-def construct_pair_from_traces(x: float, y: float, z: float) -> Pair:
-    """Explicit pair with traces (tr(a), tr(b), tr(ab)) = (x, y, z) in Omega.
+def construct_components_from_traces(x, y, z):
+    """Components (alpha_a, beta_a, alpha_b, beta_b) of pairs with traces
+    (tr(a), tr(b), tr(ab)) = (x, y, z) in Omega, one pair per array entry.
 
     Puts a = diag(e^{i angle}, e^{-i angle}) with x = 2 cos(angle) and solves
     the two linear conditions on the (1, 1) entry p of b:
@@ -134,44 +138,54 @@ def construct_pair_from_traces(x: float, y: float, z: float) -> Pair:
         cos(angle) Re(p) - sin(angle) Im(p) = z / 2
 
     then completes b with the real nonnegative off-diagonal sqrt(1 - |p|^2);
-    |p| <= 1 is exactly the Omega inequality.
+    |p| <= 1 is exactly the Omega inequality.  cos(angle) is taken as x / 2
+    itself, so tr(a) = x holds exactly.
 
-    The degenerate case |x| = 2 (a = +-I) requires z = sign(x) * y and
-    returns b as the real rotation with trace y.
+    Entries with |x| = 2 (a = +-I) require z = sign(x) * y and get b as the
+    real rotation with trace y.
 
-    Raises DomainError when (x, y, z) lies outside Omega beyond tolerance.
+    Takes scalars or 1-D arrays of one length and returns four complex 1-D
+    arrays.  Raises DomainError, naming the first offending entry, when a
+    triple lies outside Omega beyond tolerance.
     """
-    x, y, z = float(x), float(y), float(z)
-    if not in_omega(x, y, z):
-        raise DomainError(
-            f"(x, y, z) = ({x!r}, {y!r}, {z!r}) is not in Omega: "
-            "requires x^2 + y^2 + z^2 - x*y*z - 4 <= 0"
-        )
-    if abs(x) >= 2.0 - 1e-15:
-        sign = 1.0 if x > 0 else -1.0
-        if abs(z - sign * y) > CONSTRUCTION_TOL:
-            raise DomainError(
-                f"with a = {'+' if sign > 0 else '-'}I the trace of ab is forced "
-                f"to {sign * y!r}, but z = {z!r} was requested"
-            )
-        half = min(1.0, max(-1.0, y / 2.0))
-        a = SU2Element(sign + 0.0j, 0.0j)
-        b = SU2Element(complex(half, 0.0), complex(-math.sqrt(1.0 - half * half), 0.0))
-        return Pair(a, b)
-    angle = math.acos(min(1.0, max(-1.0, x / 2.0)))
-    sin_a = math.sin(angle)
+    x, y, z = (np.asarray(v, dtype=float).ravel() for v in (x, y, z))
+
+    def refuse(bad, message):
+        if bad.any():
+            raise DomainError(message(*(float(v[np.argmax(bad)]) for v in (x, y, z))))
+
+    refuse(~in_omega(x, y, z), lambda x, y, z: (
+        f"(x, y, z) = ({x!r}, {y!r}, {z!r}) is not in Omega: "
+        "requires x^2 + y^2 + z^2 - x*y*z - 4 <= 0"
+    ))
+    edge = np.abs(x) >= 2.0 - 1e-15
+    sign = np.where(x > 0, 1.0, -1.0)
+    refuse(edge & (np.abs(z - sign * y) > CONSTRUCTION_TOL), lambda x, y, z: (
+        f"with a = {'+' if x > 0 else '-'}I the trace of ab is forced "
+        f"to {(1.0 if x > 0 else -1.0) * y!r}, but z = {z!r} was requested"
+    ))
+    cos_a = np.clip(x / 2.0, -1.0, 1.0)
+    sin_a = np.sqrt((1.0 - cos_a) * (1.0 + cos_a))
     re_p = y / 2.0
-    im_p = (math.cos(angle) * re_p - z / 2.0) / sin_a
-    p = complex(re_p, im_p)
-    q_sq = 1.0 - abs(p) ** 2
-    if q_sq < -1e-9:
-        raise DomainError(
-            f"no unitary completion for (x, y, z) = ({x!r}, {y!r}, {z!r})"
-        )
-    q = math.sqrt(max(0.0, q_sq))
-    a = SU2Element(complex(math.cos(angle), sin_a), 0.0j)
-    b = SU2Element(p, complex(q, 0.0))
-    return Pair(a, b)
+    im_p = (cos_a * re_p - z / 2.0) / np.where(edge, 1.0, sin_a)
+    q_sq = 1.0 - np.hypot(re_p, im_p) ** 2
+    refuse(~edge & (q_sq < -1e-9), lambda x, y, z: (
+        f"no unitary completion for (x, y, z) = ({x!r}, {y!r}, {z!r})"
+    ))
+    half = np.clip(re_p, -1.0, 1.0)
+    alpha_a = np.where(edge, sign, cos_a + 1j * sin_a)
+    alpha_b = np.where(edge, half + 0j, re_p + 1j * im_p)
+    beta_b = np.where(edge, -np.sqrt(1.0 - half * half), np.sqrt(np.maximum(0.0, q_sq)))
+    return alpha_a, np.zeros_like(alpha_a), alpha_b, beta_b + 0j
+
+
+def construct_pair_from_traces(x: float, y: float, z: float) -> Pair:
+    """Explicit pair with traces (tr(a), tr(b), tr(ab)) = (x, y, z) in Omega,
+    built by construct_components_from_traces; raises DomainError outside."""
+    alpha_a, beta_a, alpha_b, beta_b = (
+        complex(c[0]) for c in construct_components_from_traces(x, y, z)
+    )
+    return Pair(SU2Element(alpha_a, beta_a), SU2Element(alpha_b, beta_b))
 
 
 def pair_from_spec(spec: dict) -> Pair:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import su2gap.cli
 import su2gap.spectral
 from su2gap.cli import build_parser, main
 from su2gap.errors import ConvergenceError
@@ -374,3 +375,34 @@ class TestFormatsAgree:
         for row, values in zip(rows, expected):
             assert len(row) == len(values) == len(columns)
             assert all(self.same(c, v) for c, v in zip(row, values)), (row, values)
+
+
+class TestParserReuse:
+    # defaults differ by command (sample writes JSON, phi-iterate CSV), and a
+    # usage error sits between runs, so a value left over from one call
+    # would change a later artifact
+    ARGVS = [
+        ["sample", "--count", "2", "--seed", "4", "--format", "csv"],
+        ["sample", "--count", "2"],
+        ["phi-iterate", "--t0", "1.9", "--format", "json"],
+        ["phi-iterate", "--t0", "1.7"],
+        ["phi-iterate"],
+        ["construct", "--fricke", "0.3", "0.7"],
+        ["fiber-image", "--t", "0.5", "--grid-points", "11", "--format", "json"],
+        ["fiber-image", "--t", "-0.5", "--grid-points", "7"],
+        ["construct", "--triple", "0.5", "-0.25", "1.0", "--format", "csv"],
+        ["sample"],
+    ]
+
+    def test_reused_parser_matches_fresh_parser(self, capsys, monkeypatch):
+        def run(argv):
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        assert su2gap.cli._parser() is su2gap.cli._parser()
+        reused = [run(argv) for argv in self.ARGVS]
+        monkeypatch.setattr(su2gap.cli, "_parser", build_parser)
+        fresh = [run(argv) for argv in self.ARGVS]
+        assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0]
+        assert reused == fresh

@@ -5,10 +5,16 @@ import pytest
 
 from su2gap import (
     DegenerateFiberWarning,
+    Move,
+    Pair,
+    apply_move,
     boundary_distance,
     boundary_mass,
     fiber_transport_demo,
     fricke_commutator_trace,
+    conjugate,
+    construct_pair_from_traces,
+    haar_sample,
     in_omega,
     pi_map,
     pushforward_histogram,
@@ -161,6 +167,75 @@ class TestChunking:
         )
         counts = pushforward_histogram(self.COUNT, 12, seed=9).counts
         np.testing.assert_array_equal(counts, expected.astype(np.int64))
+
+
+def sample_fiber_reference(t, count, seed):
+    """The per-pair loop sample_fiber used to run: one scalar construction,
+    one haar_sample and two conjugate calls per pair.  Returns the pairs and
+    the number of plane draws."""
+    rng_plane, rng_conj = [
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
+    ]
+    if t <= -2.0 + 1e-12:
+        base = construct_pair_from_traces(0.0, 0.0, 0.0)
+        pairs = []
+        for _ in range(count):
+            k = haar_sample(rng_conj)
+            pairs.append(Pair(conjugate(base.a, k), conjugate(base.b, k)))
+        return pairs, 0
+    pairs, draws = [], 0
+    while len(pairs) < count:
+        draws += 1
+        draw = max(1024, 2 * (count - len(pairs)))
+        xy = rng_plane.uniform(-2.0, 2.0, size=(draw, 2))
+        x, y = xy[:, 0], xy[:, 1]
+        disc = x * x * y * y - 4.0 * (x * x + y * y - 2.0 - t)
+        has_roots = disc >= 0.0
+        sqrt_disc = np.sqrt(np.where(has_roots, disc, 0.0))
+        z_plus = (x * y + sqrt_disc) / 2.0
+        z_minus = (x * y - sqrt_disc) / 2.0
+        for i in np.nonzero(has_roots)[0]:
+            roots = [z_plus[i]]
+            if disc[i] > 0.0:
+                roots.append(z_minus[i])
+            for z in roots:
+                if abs(z) > 2.0:
+                    continue
+                base = construct_pair_from_traces(x[i], y[i], z)
+                k = haar_sample(rng_conj)
+                pairs.append(Pair(conjugate(base.a, k), conjugate(base.b, k)))
+                if len(pairs) == count:
+                    return pairs, draws
+    return pairs, draws
+
+
+def pair_components(pairs):
+    return np.array([[p.a.alpha, p.a.beta, p.b.alpha, p.b.beta] for p in pairs])
+
+
+class TestArrayFiberAgainstLoop:
+    @pytest.mark.filterwarnings("ignore::su2gap.DegenerateFiberWarning")
+    @pytest.mark.parametrize("t", [-2.0, -1.5, 0.0, 0.5, 1.7, 2.0])
+    @pytest.mark.parametrize("count", [1, 700, 3000])
+    def test_pairs_match_in_order(self, t, count):
+        expected, draws = sample_fiber_reference(t, count, seed=31)
+        got = sample_fiber(t, count, seed=31)
+        assert len(got) == count
+        np.testing.assert_allclose(
+            pair_components(got), pair_components(expected), rtol=0, atol=1e-12
+        )
+        if t == -1.5 and count > 1:
+            # fewer than half a root per plane point: the first draw runs short
+            assert draws >= 2
+
+    @pytest.mark.parametrize("t", [-1.5, 0.0, 0.5, 1.7, 2.0])
+    def test_transport_matches_per_pair_moves(self, t):
+        demo = fiber_transport_demo(t, 2500, seed=8)
+        expected = [
+            pi_map(apply_move(pair, Move.SQUARE_FIRST)).t
+            for pair in sample_fiber(t, 2500, seed=8)
+        ]
+        np.testing.assert_allclose(demo.values, expected, rtol=0, atol=1e-12)
 
 
 class TestSampleFiber:

@@ -26,6 +26,7 @@ from su2gap import (
     trace_of_square,
     trace_triple,
 )
+from su2gap.trace_geometry import construct_components_from_traces
 
 
 def matrix_commutator_trace(pair: Pair) -> float:
@@ -209,6 +210,23 @@ class TestTripleConstruction:
     def test_outside_omega_raises(self):
         with pytest.raises(DomainError):
             construct_pair_from_traces(1.9, -1.9, 1.9)
+
+    def test_array_form_matches_scalar_wrapper(self, rng):
+        edge_rows = [(2.0, 0.5, 0.5), (-2.0, 0.5, -0.5), (2.0, -2.0, -2.0), (-2.0, 2.0, -2.0)]
+        triples = np.array(edge_rows + [(0.0, 0.0, 0.0)] + list(sample_omega_points(rng, 50)))
+        columns = construct_components_from_traces(*triples.T)
+        for row, (x, y, z) in enumerate(triples):
+            a, b = construct_pair_from_traces(x, y, z)
+            assert [c[row] for c in columns] == [a.alpha, a.beta, b.alpha, b.beta]
+
+    @pytest.mark.parametrize("bad", [(1.9, -1.9, 1.9), (2.0, 0.5, -0.5), (-2.0, 0.5, 0.5)])
+    def test_array_form_raises_like_scalar_wrapper(self, bad):
+        with pytest.raises(DomainError) as scalar:
+            construct_pair_from_traces(*bad)
+        triples = np.array([(0.0, 0.0, 0.0), bad, (1.0, 1.0, 1.0), (1.9, -1.9, 1.9)])
+        with pytest.raises(DomainError) as array:
+            construct_components_from_traces(*triples.T)
+        assert str(array.value) == str(scalar.value)
 
     def test_reconstruction_on_random_omega_points(self, rng):
         for x, y, z in sample_omega_points(rng, 2000):
