@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -63,10 +64,15 @@ def _render(command: str, fmt: str, meta: dict, columns, rows, extra: dict) -> s
     """
     if fmt == "json":
         body = {"schema": SCHEMA_VERSION, "command": command} | meta | extra
+        chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(body)
+        parts = []
         try:
-            return json.dumps(body, indent=2, allow_nan=False) + "\n"
+            # batch by batch: a list of all an orbit's chunks outweighs its text
+            while batch := list(itertools.islice(chunks, 1 << 14)):
+                parts.append("".join(batch))
         except ValueError as exc:
             raise ConvergenceError(f"artifact holds a non-finite value: {exc}") from exc
+        return "".join([*parts, "\n"])
 
     def cell(value) -> str:
         if not isinstance(value, float):
@@ -184,10 +190,10 @@ def _cmd_orbit(args) -> tuple:
     _require(args.depth >= 0, "--depth must be nonnegative")
     _require(args.max_points >= 1, "--max-points must be at least 1")
     pair = _load_pair(args.pair)
-    points = gap_dynamics.wordmap_orbit(pair, args.depth, args.max_points)
-    meta = {"depth": args.depth, "max_points": args.max_points, "points": len(points)}
+    orbit = gap_dynamics.wordmap_orbit(pair, args.depth, args.max_points)
+    meta = {"depth": args.depth, "max_points": args.max_points, "points": len(orbit)}
     columns = ("path", "x", "t")
-    rows = [("".join(p.path), p.coord.x, p.coord.t) for p in points]
+    rows = list(zip(orbit.paths, orbit.x.tolist(), orbit.t.tolist()))
     return meta, columns, rows, {"orbit": [dict(zip(columns, row)) for row in rows]}
 
 

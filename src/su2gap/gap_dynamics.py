@@ -15,8 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .su2_core import Pair, inverse, multiply
-from .trace_geometry import FrickeCoord, pi_map
+from .su2_core import Pair, inverse, multiply, multiply_components
 
 DEFAULT_MAX_STEPS = 64
 ORBIT_DEDUP_GRID = 1e-6
@@ -95,6 +94,7 @@ class Move(Enum):
 
 
 MOVES = tuple(Move)
+_MOVE_CODES = "".join(move.value for move in MOVES)
 
 
 def apply_move(pair: Pair, move: Move) -> Pair:
@@ -111,52 +111,86 @@ def apply_move(pair: Pair, move: Move) -> Pair:
     raise ValueError(f"unknown move {move!r}")
 
 
-@dataclass(frozen=True)
-class OrbitPoint:
-    """A pair in a word-map orbit together with its Fricke coordinate and
-    the move path that produced it."""
+@dataclass(frozen=True, eq=False)
+class Orbit:
+    """A word-map orbit in breadth-first order: point i is reached by the
+    moves in paths[i], lies at (x[i], t[i]), and has generators with
+    (alpha, beta) rows a[i] and b[i]."""
 
-    pair: Pair
-    coord: FrickeCoord
-    path: tuple[str, ...]
+    paths: list[str]
+    x: np.ndarray
+    t: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.paths)
 
 
-def _dedup_key(coord: FrickeCoord) -> tuple[int, int]:
-    return (round(coord.x / ORBIT_DEDUP_GRID), round(coord.t / ORBIT_DEDUP_GRID))
+def _inverse_components(g: tuple) -> tuple:
+    return g[0], -g[1], -g[2], -g[3], g[4]
 
 
-def wordmap_orbit(pair: Pair, depth: int, max_points: int = 10000) -> list[OrbitPoint]:
+def _fricke_components(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """pi_map on component arrays, through the same commutator product."""
+    c = multiply_components(multiply_components(a, b), _inverse_components(a))
+    return 2.0 * a[0], 2.0 * multiply_components(c, _inverse_components(b))[0]
+
+
+def _dedup_keys(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """One int64 per 1e-6 cell of (x, t), one to one as |t| < 2^31 * 1e-6."""
+    kx, kt = (np.rint(v / ORBIT_DEDUP_GRID).astype(np.int64) for v in (x, t))
+    return kx * (1 << 32) + kt
+
+
+def _complex_rows(g: tuple) -> np.ndarray:
+    return np.stack(g[:4], axis=1).view(complex)
+
+
+def wordmap_orbit(pair: Pair, depth: int, max_points: int = 10000) -> Orbit:
     """Breadth-first closure of a pair under the four moves.
 
     Points are deduplicated by rounding Fricke coordinates to the 1e-6 grid
     (coordinates, not matrices, are what the downstream analysis consumes).
-    Expansion order is deterministic: moves in declaration order, frontier
-    in insertion order.
+    Expansion order is deterministic: frontier in insertion order, moves in
+    declaration order, each point kept if its cell is new, up to max_points.
+    Each depth is one numpy pass with the rounding of apply_move and pi_map.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if max_points < 1:
         raise ValueError("max_points must be at least 1")
-    root = OrbitPoint(pair, pi_map(pair), ())
-    seen = {_dedup_key(root.coord)}
-    points = [root]
-    frontier = [root]
+    parts = [(g.alpha.real, g.alpha.imag, g.beta.real, g.beta.imag, g._ops) for g in pair]
+    a, b = (tuple(np.array([v]) for v in part) for part in parts)
+    x, t = _fricke_components(a, b)
+    seen = _dedup_keys(x, t)
+    paths, frontier = [""], [""]
+    levels = [(_complex_rows(a), _complex_rows(b), x, t)]
     for _ in range(depth):
-        next_frontier: list[OrbitPoint] = []
-        for point in frontier:
-            for move in MOVES:
-                if len(points) >= max_points:
-                    return points
-                image = apply_move(point.pair, move)
-                coord = pi_map(image)
-                key = _dedup_key(coord)
-                if key in seen:
-                    continue
-                seen.add(key)
-                orbit_point = OrbitPoint(image, coord, point.path + (move.value,))
-                points.append(orbit_point)
-                next_frontier.append(orbit_point)
-        if not next_frontier:
+        if len(paths) >= max_points:
             break
-        frontier = next_frontier
-    return points
+        # the frontier's images under MOVES in order S, X, I, M: candidate i
+        # is move i % 4 of frontier point i // 4
+        square, product = multiply_components(a, a), multiply_components(a, b)
+        images = ((square, b), (b, a), (_inverse_components(a), b), (product, b))
+        coords = zip(*(_fricke_components(*image) for image in images))
+        x, t = (np.stack(c, axis=1).ravel() for c in coords)
+        keys = _dedup_keys(x, t)
+        cells, first = np.unique(keys, return_index=True)
+        new = ~np.isin(cells, seen, assume_unique=True)
+        fresh = np.sort(first[new])[: max_points - len(paths)]
+        if fresh.size == 0:
+            break
+        # not np.union1d: its first call imports numpy.ma, about 26 ms
+        seen = np.concatenate([seen, cells[new]])
+        a, b = (
+            tuple(np.stack(c)[fresh & 3, fresh >> 2] for c in zip(*(im[k] for im in images)))
+            for k in (0, 1)
+        )
+        x, t = x[fresh], t[fresh]
+        del square, product, images
+        frontier = [frontier[i >> 2] + _MOVE_CODES[i & 3] for i in fresh.tolist()]
+        paths += frontier
+        levels.append((_complex_rows(a), _complex_rows(b), x, t))
+    a_rows, b_rows, x, t = (np.concatenate(column) for column in zip(*levels))
+    return Orbit(paths, x, t, a_rows, b_rows)

@@ -218,21 +218,3 @@ def word_defect_check(pair: Pair, word: Word, n: int, v: np.ndarray):
     if v.ndim == 1:
         return float(lhs[0]), float(rhs[0])
     return lhs, rhs
-
-
-def min_defect_level(pair: Pair, n: int) -> float:
-    """Lower bound for the minimal combined generator displacement at level n.
-
-    Returns sqrt(lambda_min(M)) for
-
-        M = (I - pi(a))*(I - pi(a)) + (I - pi(b))*(I - pi(b)).
-
-    Unitarity gives M = 4 (I - A) for the averaging operator A, so this is
-    2 sqrt(level_gap(pair, n)).  The value lower-bounds min over unit v of
-    ||pi(a)v - v|| + ||pi(b)v - v|| and is within a factor sqrt(2) of it.  It
-    vanishes exactly when the two generators share a fixed vector at this
-    level.
-    """
-    if n < 1:
-        raise ValueError("min_defect_level requires level n >= 1")
-    return 2.0 * math.sqrt(level_gap(pair, n))

@@ -95,6 +95,26 @@ def multiply(g: SU2Element, h: SU2Element) -> SU2Element:
     return SU2Element(alpha, beta, ops)
 
 
+def multiply_components(g: tuple, h: tuple) -> tuple:
+    """Array form of multiply on (Re alpha, Im alpha, Re beta, Im beta, ops)
+    tuples, rounded as multiply rounds each row: the real products follow
+    Python's complex product, and float_power squares the norm with C pow as
+    Python's ``**`` does (np.square can differ in the last bit)."""
+    gar, gai, gbr, gbi, gops = g
+    har, hai, hbr, hbi, hops = h
+    ar = (gar * har - gai * hai) - (gbr * hbr + gbi * hbi)
+    ai = (gar * hai + gai * har) - (gbi * hbr - gbr * hbi)
+    br = (gar * hbr - gai * hbi) + (gbr * har + gbi * hai)
+    bi = (gar * hbi + gai * hbr) + (gbi * har - gbr * hai)
+    ops = gops + hops + 1
+    renorm = np.flatnonzero(ops >= RENORM_EVERY)
+    sel = [c[renorm] for c in (ar, ai, br, bi)]
+    norm = np.sqrt(sum(np.float_power(np.hypot(*pair), 2) for pair in (sel[:2], sel[2:])))
+    ar[renorm], ai[renorm], br[renorm], bi[renorm] = (part / norm for part in sel)
+    ops[renorm] = 0
+    return ar, ai, br, bi, ops
+
+
 def inverse(g: SU2Element) -> SU2Element:
     """Group inverse; equals the conjugate transpose."""
     return SU2Element(g.alpha.conjugate(), -g.beta, g._ops)

@@ -9,18 +9,22 @@ from su2gap import (
     IDENTITY,
     Move,
     Pair,
+    SU2Element,
     Word,
     apply_move,
+    conjugate,
     evaluate_word,
     fiber_image_interval,
     fiber_image_numeric,
     haar_pair,
+    haar_sample,
     in_domain_D,
     iterate_phi_endpoint,
     phi,
     pi_map,
     wordmap_orbit,
 )
+from su2gap.gap_dynamics import MOVES, ORBIT_DEDUP_GRID
 
 
 class TestEscapeIteration:
@@ -155,8 +159,66 @@ class TestMoves:
             assert evaluate_word(wb, pair).isclose(current.b, tol=1e-9)
 
 
-def covering_radius(points, grid):
-    cloud = np.array([[p.coord.x, p.coord.t] for p in points])
+def wordmap_orbit_reference(pair, depth, max_points=10000):
+    """The scalar breadth-first loop: one apply_move and one pi_map per
+    candidate, and a set of the 1e-6 keys seen so far.  Returns
+    (pair, coord, path) triples."""
+
+    def key(coord):
+        return (round(coord.x / ORBIT_DEDUP_GRID), round(coord.t / ORBIT_DEDUP_GRID))
+
+    root = (pair, pi_map(pair), "")
+    seen = {key(root[1])}
+    points = [root]
+    frontier = [root]
+    for _ in range(depth):
+        next_frontier = []
+        for parent, _, path in frontier:
+            for move in MOVES:
+                if len(points) >= max_points:
+                    return points
+                image = apply_move(parent, move)
+                coord = pi_map(image)
+                if key(coord) in seen:
+                    continue
+                seen.add(key(coord))
+                point = (image, coord, path + move.value)
+                points.append(point)
+                next_frontier.append(point)
+        if not next_frontier:
+            break
+        frontier = next_frontier
+    return points
+
+
+def element(row):
+    return SU2Element(complex(row[0]), complex(row[1]))
+
+
+def assert_matches_reference(pair, depth, max_points):
+    orbit = wordmap_orbit(pair, depth, max_points)
+    expected = wordmap_orbit_reference(pair, depth, max_points)
+    assert orbit.paths == [path for _, _, path in expected]
+    assert len(orbit) == len(expected) == orbit.x.size == orbit.t.size
+    assert orbit.a.shape == orbit.b.shape == (len(expected), 2)
+    np.testing.assert_allclose(orbit.x, [c.x for _, c, _ in expected], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(orbit.t, [c.t for _, c, _ in expected], rtol=0, atol=1e-12)
+    for rows, which in ((orbit.a, 0), (orbit.b, 1)):
+        gens = [p[which] for p, _, _ in expected]
+        np.testing.assert_allclose(rows, [[g.alpha, g.beta] for g in gens], rtol=0, atol=1e-12)
+    return orbit
+
+
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+# generators of the binary icosahedral group 2I, of orders 6 and 10
+ICOSAHEDRAL = Pair(
+    SU2Element.from_quaternion(1, 1, 1, 1),
+    SU2Element.from_quaternion(GOLDEN, 1.0 / GOLDEN, 1, 0),
+)
+
+
+def covering_radius(orbit, grid):
+    cloud = np.stack([orbit.x, orbit.t], axis=1)
     dist = np.sqrt(((grid[:, None, :] - cloud[None, :, :]) ** 2).sum(-1))
     return float(dist.min(axis=1).max())
 
@@ -164,22 +226,59 @@ def covering_radius(points, grid):
 class TestWordmapOrbit:
     def test_depth_zero_is_the_pair_itself(self, rng):
         pair = haar_pair(rng)
-        points = wordmap_orbit(pair, 0)
-        assert len(points) == 1
-        assert points[0].pair == pair
-        assert points[0].path == ()
+        orbit = wordmap_orbit(pair, 0)
+        assert len(orbit) == 1
+        assert Pair(element(orbit.a[0]), element(orbit.b[0])) == pair
+        assert orbit.paths == [""]
 
     def test_identity_pair_is_fixed(self):
-        points = wordmap_orbit(Pair(IDENTITY, IDENTITY), 5)
-        assert len(points) == 1
+        orbit = assert_matches_reference(Pair(IDENTITY, IDENTITY), 5, 10000)
+        assert len(orbit) == 1
 
     def test_max_points_truncation(self, rng):
-        points = wordmap_orbit(haar_pair(rng), 6, max_points=17)
-        assert len(points) == 17
+        orbit = wordmap_orbit(haar_pair(rng), 6, max_points=17)
+        assert len(orbit) == 17
 
     def test_coordinates_match_pairs(self, rng):
-        for point in wordmap_orbit(haar_pair(rng), 3):
-            np.testing.assert_allclose(point.coord, pi_map(point.pair), atol=1e-10)
+        orbit = wordmap_orbit(haar_pair(rng), 3)
+        for i in range(len(orbit)):
+            pair = Pair(element(orbit.a[i]), element(orbit.b[i]))
+            np.testing.assert_allclose((orbit.x[i], orbit.t[i]), pi_map(pair), atol=1e-10)
+
+    def test_haar_pairs_match_the_scalar_loop(self, rng):
+        for _ in range(3):
+            orbit = assert_matches_reference(haar_pair(rng), 12, 20000)
+            assert len(orbit) == 20000
+
+    def test_caps_that_cut_a_depth_match_the_scalar_loop(self, rng):
+        pair = haar_pair(rng)
+        full = wordmap_orbit(pair, 12, 20000)
+        for cap in (1, 17, 4 * 37 + 2, 4 * 1000 + 2):
+            assert_matches_reference(pair, 12, cap)
+            if cap > 1:
+                # the cap falls inside a depth, not on its boundary
+                assert len(full.paths[cap - 1]) == len(full.paths[cap])
+
+    def test_commuting_pair_collides_within_a_depth(self, rng):
+        k = haar_sample(rng)
+        pair = Pair(
+            conjugate(SU2Element(np.exp(0.7j), 0.0), k),
+            conjugate(SU2Element(np.exp(1.9j), 0.0), k),
+        )
+        orbit = assert_matches_reference(pair, 8, 20000)
+        np.testing.assert_allclose(orbit.t, 2.0, atol=1e-12)
+        # S, I and M all keep b, so candidates share keys inside one depth
+        per_depth = np.bincount([len(path) for path in orbit.paths])
+        assert len(per_depth) == 9 and (per_depth[1:] < 4 * per_depth[:-1]).all()
+
+    def test_icosahedral_pair_saturates_at_21_points(self, rng):
+        # oracle: the 2I pair's orbit is finite; its 21 trace-plane points
+        # are reached within 7 moves
+        k = haar_sample(rng)
+        pair = Pair(conjugate(ICOSAHEDRAL.a, k), conjugate(ICOSAHEDRAL.b, k))
+        orbit = assert_matches_reference(pair, 12, 20000)
+        assert len(orbit) == 21
+        assert max(len(path) for path in orbit.paths) <= 7
 
     def test_covering_radius_shrinks_with_depth(self):
         # oracle: covering radius of the emitted cloud over a grid of D

@@ -23,7 +23,6 @@ from su2gap import (
     haar_sample,
     irrep_matrix,
     level_gap,
-    min_defect_level,
     trace,
     word_defect_check,
 )
@@ -273,10 +272,9 @@ class TestLevelGap:
             raise np.linalg.LinAlgError("no convergence")
 
         monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        for compute in (level_gap, min_defect_level):
-            with pytest.raises(ConvergenceError) as info:
-                compute(lps_pair, 3)
-            assert info.value.level == 3
+        with pytest.raises(ConvergenceError) as info:
+            level_gap(lps_pair, 3)
+        assert info.value.level == 3
 
 
 class TestGapProfile:
@@ -435,16 +433,16 @@ class TestMinDefect:
         for pair in pairs:
             lowest = np.linalg.eigvalsh(defect_matrix_reference(pair, n))[0]
             assert abs(4.0 * level_gap(pair, n) - lowest) <= 1e-12
-            assert abs(min_defect_level(pair, n) ** 2 - lowest) <= 1e-12
 
     def test_identity_pair(self):
-        assert min_defect_level(Pair(IDENTITY, IDENTITY), 3) == 0.0
+        assert level_gap(Pair(IDENTITY, IDENTITY), 3) == 0.0
 
     def test_sandwich_against_direct_minimization(self, rng):
         for _ in range(100):
             pair = haar_pair(rng)
             n = int(rng.integers(1, 11))
-            lower = min_defect_level(pair, n)
+            # sqrt(lambda_min(M)) = 2 sqrt(level_gap) bounds the summed displacement
+            lower = 2.0 * math.sqrt(level_gap(pair, n))
             direct = min_sum_displacement_oracle(pair, n, rng)
             assert lower <= direct + 1e-9
             assert direct <= math.sqrt(2.0) * lower + 1e-9
@@ -456,11 +454,12 @@ class TestMinDefect:
                 SU2Element(np.exp(1j * angle), 0.0),
                 SU2Element(np.exp(1j * angle), 0.0),
             )
-            assert min_defect_level(pair, k) <= 1e-10
+            # a combined displacement of at most 1e-10
+            assert 4.0 * level_gap(pair, k) <= 1e-20
 
     def test_zero_defect_persists_under_moves(self, commuting_pair):
         for n in (2, 4, 6):
-            assert min_defect_level(commuting_pair, n) <= 1e-10
+            assert 4.0 * level_gap(commuting_pair, n) <= 1e-20
             for move in Move:
                 moved = apply_move(commuting_pair, move)
-                assert min_defect_level(moved, n) <= 1e-10
+                assert 4.0 * level_gap(moved, n) <= 1e-20

@@ -21,7 +21,12 @@ from su2gap import (
     pair_to_spec,
     trace,
 )
-from su2gap.su2_core import pair_from_matrix_spec, reduce_letters
+from su2gap.su2_core import (
+    RENORM_EVERY,
+    multiply_components,
+    pair_from_matrix_spec,
+    reduce_letters,
+)
 
 # chi-square 0.999 quantile at 49 degrees of freedom
 CHI2_CRIT_49_999 = 85.3505646085
@@ -80,6 +85,33 @@ class TestTraceAndProducts:
             SU2Element(0.0j, bad)
 
 
+def components(elements):
+    rows = [(g.alpha.real, g.alpha.imag, g.beta.real, g.beta.imag, g._ops) for g in elements]
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+class TestComponentProducts:
+    def test_rows_equal_scalar_multiply(self, rng):
+        # oracle: multiply on each row.  Norms off by 1e-10 make every
+        # renormalization visible, the op counts fall on both sides of
+        # RENORM_EVERY, and enough rows renormalize that a norm squared
+        # by np.square instead of pow would differ in some last bit.
+        count = 40000
+        ops = rng.integers(0, RENORM_EVERY, size=(2, count))
+        q = haar_quaternions(rng, 2 * count).reshape(2, count, 4) * (1 + 1e-10)
+        g, h = ((*quats.T, counts) for quats, counts in zip(q, ops))
+        gs, hs = (
+            [SU2Element(complex(w, x), complex(y, z), int(k)) for (w, x, y, z), k in zip(quats, counts)]
+            for quats, counts in zip(q.tolist(), ops)
+        )
+        renormalized = ops.sum(axis=0) + 1 >= RENORM_EVERY
+        assert 0 < renormalized.sum() < count
+        got = multiply_components(g, h)
+        expected = components([multiply(a, b) for a, b in zip(gs, hs)])
+        for got_column, expected_column in zip(got, expected):
+            np.testing.assert_array_equal(got_column, expected_column)
+
+
 class TestCommutator:
     def test_self_and_identity(self, rng):
         a = haar_sample(rng)
@@ -132,6 +164,13 @@ class TestHaarSampling:
         expected = n * probs
         chi_sq = float(((observed - expected) ** 2 / expected).sum())
         assert chi_sq < CHI2_CRIT_49_999
+
+    def test_quaternions_are_the_normalized_gaussian_draw(self):
+        # oracle: the same Gaussian draw divided by np.linalg.norm of its
+        # rows; a lower-memory normalization must keep these bits
+        q = np.random.default_rng(9).standard_normal((5000, 4))
+        expected = q / np.linalg.norm(q, axis=1)[:, None]
+        np.testing.assert_array_equal(haar_quaternions(np.random.default_rng(9), 5000), expected)
 
     def test_seed_determinism(self):
         g = haar_sample(np.random.default_rng(123))
