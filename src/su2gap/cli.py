@@ -53,17 +53,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _render(command: str, fmt: str, meta: dict, columns, rows, extra: dict) -> str:
+def _render(command: str, fmt: str, meta: dict, columns, rows, extra) -> str:
     """The artifact text for one command: the only place CSV and JSON are written.
 
     CSV is the meta header, the column line and the rows, with floats at 17
-    significant digits.  JSON is {"schema", "command"} | meta | extra; a key
-    of extra that is also in meta keeps meta's position and takes extra's
-    value.  A NaN or infinity in either form raises ConvergenceError, so no
-    artifact carries a bare non-finite number.
+    significant digits.  JSON is {"schema", "command"} | meta | extra(), and
+    only JSON calls extra; a key of extra() that is also in meta keeps meta's
+    position and takes extra()'s value.  A NaN or infinity in either form
+    raises ConvergenceError, so no artifact carries a bare non-finite number.
     """
     if fmt == "json":
-        body = {"schema": SCHEMA_VERSION, "command": command} | meta | extra
+        body = {"schema": SCHEMA_VERSION, "command": command} | meta | extra()
         chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(body)
         parts = []
         try:
@@ -121,7 +121,7 @@ def _load_pair(path: str) -> Pair:
 def _pairs_artifact(meta: dict, pairs) -> tuple:
     specs = [pair_to_spec(p) for p in pairs]
     rows = [[i, *spec["a"], *spec["b"]] for i, spec in enumerate(specs)]
-    return meta, ("index",) + _PAIR_COLUMNS, rows, {"pairs": specs}
+    return meta, ("index",) + _PAIR_COLUMNS, rows, lambda: {"pairs": specs}
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +129,7 @@ def _pairs_artifact(meta: dict, pairs) -> tuple:
 #
 # Each returns (meta, columns, rows, extra) for _render: meta is the CSV
 # header and the leading JSON keys, columns and rows are the CSV table, and
-# extra holds what only JSON prints.
+# extra builds what only JSON prints, and runs only for JSON.
 # ---------------------------------------------------------------------------
 
 
@@ -145,7 +145,7 @@ def _cmd_traces(args) -> tuple:
     x, y, z = trace_geometry.trace_triple(pair)
     row = (x, y, z, trace_geometry.pi_map(pair).t)
     columns = ("x", "y", "z", "t")
-    return {}, columns, [row], dict(zip(columns, row))
+    return {}, columns, [row], lambda: dict(zip(columns, row))
 
 
 def _cmd_construct(args) -> tuple:
@@ -158,7 +158,7 @@ def _cmd_construct(args) -> tuple:
         pair = trace_geometry.construct_pair_from_traces(x, y, z)
         meta = {"source": "traces", "x": x, "y": y, "z": z}
     spec = pair_to_spec(pair)
-    return meta, _PAIR_COLUMNS, [spec["a"] + spec["b"]], spec
+    return meta, _PAIR_COLUMNS, [spec["a"] + spec["b"]], lambda: spec
 
 
 def _cmd_phi_iterate(args) -> tuple:
@@ -171,7 +171,10 @@ def _cmd_phi_iterate(args) -> tuple:
         "max_steps": args.max_steps,
         "steps_to_negative": "not-reached" if reached is None else reached,
     }
-    extra = {"steps_to_negative": reached, "orbit": list(record.orbit)}
+
+    def extra():
+        return {"steps_to_negative": reached, "orbit": list(record.orbit)}
+
     return meta, ("step", "t"), list(enumerate(record.orbit)), extra
 
 
@@ -182,8 +185,8 @@ def _cmd_fiber_image(args) -> tuple:
     numeric = list(gap_dynamics.fiber_image_numeric(args.t, args.grid_points))
     meta = {"t": args.t, "grid_points": args.grid_points}
     rows = [["analytic", *analytic], ["numeric", *numeric]]
-    extra = {"analytic": analytic, "numeric": numeric}
-    return meta, ("source", "lower", "upper"), rows, extra
+    columns = ("source", "lower", "upper")
+    return meta, columns, rows, lambda: {"analytic": analytic, "numeric": numeric}
 
 
 def _cmd_orbit(args) -> tuple:
@@ -194,7 +197,7 @@ def _cmd_orbit(args) -> tuple:
     meta = {"depth": args.depth, "max_points": args.max_points, "points": len(orbit)}
     columns = ("path", "x", "t")
     rows = list(zip(orbit.paths, orbit.x.tolist(), orbit.t.tolist()))
-    return meta, columns, rows, {"orbit": [dict(zip(columns, row)) for row in rows]}
+    return meta, columns, rows, lambda: {"orbit": [dict(zip(columns, row)) for row in rows]}
 
 
 def _cmd_gap_profile(args) -> tuple:
@@ -209,7 +212,7 @@ def _cmd_gap_profile(args) -> tuple:
     }
     columns = ("n", "dim", "gap")
     rows = profile.rows()
-    return meta, columns, rows, {"levels": [dict(zip(columns, row)) for row in rows]}
+    return meta, columns, rows, lambda: {"levels": [dict(zip(columns, row)) for row in rows]}
 
 
 def _cmd_defect(args) -> tuple:
@@ -237,8 +240,7 @@ def _cmd_defect(args) -> tuple:
         "max_violation": float(max_violation),
     }
     columns = ("trial", "lhs", "rhs")
-    records = [dict(zip(columns, row)) for row in rows]
-    return meta, columns, rows, {"trials_data": records}
+    return meta, columns, rows, lambda: {"trials_data": [dict(zip(columns, row)) for row in rows]}
 
 
 def _cmd_density(args) -> tuple:
@@ -258,7 +260,7 @@ def _cmd_density(args) -> tuple:
         for row, line in enumerate(counts)
         for col, count in enumerate(line)
     ]
-    return meta, ("row", "col", "count"), rows, {"counts": counts}
+    return meta, ("row", "col", "count"), rows, lambda: {"counts": counts}
 
 
 def _cmd_fiber_sample(args) -> tuple:
@@ -285,7 +287,7 @@ def _cmd_fiber_transport(args) -> tuple:
         "seed": demo.seed,
     }
     counts = demo.counts.tolist()
-    return meta, ("bin", "count"), list(enumerate(counts)), {"counts": counts}
+    return meta, ("bin", "count"), list(enumerate(counts)), lambda: {"counts": counts}
 
 
 # ---------------------------------------------------------------------------

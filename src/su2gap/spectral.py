@@ -2,24 +2,20 @@
 
 The regular representation of a two-generator subgroup splits into
 irreducible blocks, one of each dimension n + 1.  This module builds those
-blocks explicitly, forms the Hermitian averaging operator of a pair on each
-block, and reports per-level spectral gaps
+blocks, forms the Hermitian averaging operator of a pair on each block, and
+reports per-level spectral gaps and word-defect bounds,
 
-    gap_n = 1 - lambda_max( (pi_n(a) + pi_n(a)* + pi_n(b) + pi_n(b)*) / 4 )
+    gap_n = 1 - lambda_max( (pi_n(a) + pi_n(a)* + pi_n(b) + pi_n(b)*) / 4 ).
 
-together with word-defect bounds and the minimal two-generator defect.
-
-Each block is the exponential of the tridiagonal Lie-algebra image of log g,
-diagonalized exactly (Feng, Wang, Yang, Jin, Phys. Rev. E 92, 043307, 2015),
-so it stays unitary to rounding at every level.  A diagonal phase change
-makes that image a real symmetric tridiagonal matrix, so every block comes
-from one real eigendecomposition.
-
-The gap is unchanged when the pair is conjugated simultaneously, so it
-depends only on the trace triple (tr a, tr b, tr ab).  level_gap computes it
-on the canonical conjugate of the pair, where a is diagonal and the whole
-averaging operator is a real symmetric matrix.  All eigenvalues come from
-LAPACK through numpy.
+A block is the exponential of the tridiagonal Lie-algebra image of log g,
+which a diagonal phase makes real symmetric, diagonalized exactly (Feng,
+Wang, Yang, Jin, Phys. Rev. E 92, 043307, 2015).  The gap depends only on
+the trace triple (tr a, tr b, tr ab), so it is computed on a canonical
+conjugate of the pair, where the averaging operator is real: level_gap forms
+one level from one eigh, and gap_profile sweeps levels 1..n_max carrying the
+real Wigner block of a rotation by Risbo's Clebsch-Gordan step (J. Geodesy
+70, 1996).  The involution inverting both generators halves every even
+level into two real blocks.  All eigenvalues come from LAPACK through numpy.
 
 A truncated profile is evidence, not a certificate: the true spectral gap is
 an infimum over all levels and no finite sweep can certify it.  Every summary
@@ -112,29 +108,11 @@ def _eigenvalues(matrix: np.ndarray, n: int) -> np.ndarray:
         raise ConvergenceError(f"eigensolver failed: {exc}", level=n) from exc
 
 
-def level_gap(pair: Pair, n: int) -> float:
-    """1 - lambda_max of the level-n averaging operator.
-
-    The operator is formed for the canonical conjugate (a', b') of the pair,
-    which has the same trace triple and hence the same spectrum.  With
-    v = (Im alpha, Re beta, Im beta) the axis of an element,
-
-        a' = Re(alpha_a) + i |v_a|                             (diagonal),
-        b' = (Re(alpha_b) + i v_a.v_b / |v_a|,  i |v_a x v_b| / |v_a|),
-
-    where any unit vector stands in for v_a / |v_a| when v_a = 0.  Then
-    pi(a') + pi(a')* is 2 diag(cos((n - 2k) theta_a)), and pi(b') + pi(b')*
-    is 2 sign V diag(cos w) V^T up to the diagonal phase of
-    _real_tridiagonal_exp, which commutes with the diagonal pi(a') and so
-    leaves the spectrum alone.
-
-    Rounding just below zero is reported as 0.  Raises ConvergenceError
-    (annotated with the level) if the eigensolver fails, or if lambda_max is
-    not at most 1 + 1e-9, which a unitary block cannot produce; NaN fails
-    that test too.
-    """
-    if n < 1:
-        raise ValueError("level_gap requires level n >= 1")
+def _frame(pair: Pair) -> tuple[float, complex, float]:
+    """(theta_a, alpha, r) of the canonical conjugate a' = e^{i theta_a}
+    (diagonal), b' = (alpha, i r) of the pair: with v = (Im alpha, Re beta,
+    Im beta) and e = v_a / |v_a| (any unit vector if v_a = 0), theta_a =
+    atan2(|v_a|, Re alpha_a), alpha = Re alpha_b + i e.v_b, r = |e x v_b|."""
     a, b = pair
     va = (a.alpha.imag, a.beta.real, a.beta.imag)
     vb = (b.alpha.imag, b.beta.real, b.beta.imag)
@@ -143,15 +121,79 @@ def level_gap(pair: Pair, n: int) -> float:
     vx, vy, vz = vb
     along = ex * vx + ey * vy + ez * vz
     across = math.hypot(ey * vz - ez * vy, ez * vx - ex * vz, ex * vy - ey * vx)
-    alpha_b, beta_b = complex(b.alpha.real, along), complex(0.0, across)
-    sign, _, w, v = _real_tridiagonal_exp(alpha_b, beta_b, n)
-    operator = (v * (0.5 * sign * np.cos(w))) @ v.T
-    k = np.arange(n + 1)
-    operator[k, k] += 0.5 * np.cos((n - 2.0 * k) * math.atan2(norm_a, a.alpha.real))
-    top = float(_eigenvalues(operator, n)[-1])
+    return math.atan2(norm_a, a.alpha.real), complex(b.alpha.real, along), across
+
+
+def _gap(operator: np.ndarray, n: int) -> float:
+    """1 - lambda_max of a real symmetric level-n operator that commutes with
+    J e_k = (-1)^k e_{n-k}, the image of the rotation inverting both canonical
+    generators.  Odd n takes one eigvalsh; even n = 2m reads rows 0..m, which
+    the J-eigenvectors (e_k +- (-1)^k e_{n-k}) / sqrt2 (k < m) and e_m split
+    into two real half blocks.  Rounding below 0 is reported as 0.  Raises
+    ConvergenceError (with the level) if the eigensolver fails or lambda_max
+    is not at most 1 + 1e-9, as no unitary block gives; NaN fails that too."""
+    if n % 2:
+        blocks = [operator]
+    else:
+        m = n // 2
+        mirror = operator[:m, n:m:-1] * (-1.0) ** np.arange(m, 2 * m)
+        inner = operator[: m + 1, : m + 1].copy()
+        inner[:m, :m] += mirror
+        inner[m, :m] *= math.sqrt(2.0)  # eigvalsh reads the lower triangle
+        blocks = [inner, operator[:m, :m] - mirror]
+    top = float(np.max([_eigenvalues(block, n)[-1] for block in blocks]))
     if not top <= 1.0 + 1e-9:
         raise ConvergenceError(f"eigenvalue {top!r} lies outside [-1, 1]", level=n)
     return max(0.0, 1.0 - top)
+
+
+def level_gap(pair: Pair, n: int) -> float:
+    """1 - lambda_max of the level-n averaging operator, from one eigh: on the
+    frame of _frame, pi(a') + pi(a')* = 2 diag(cos((n - 2k) theta_a)), and
+    pi(b') + pi(b')* = 2 sign V diag(cos w) V^T up to the diagonal phase of
+    _real_tridiagonal_exp, which commutes with pi(a')."""
+    if n < 1:
+        raise ValueError("level_gap requires level n >= 1")
+    theta_a, alpha, r = _frame(pair)
+    sign, _, w, v = _real_tridiagonal_exp(alpha, complex(0.0, r), n)
+    operator = (v * (0.5 * sign * np.cos(w))) @ v.T
+    k = np.arange(n + 1)
+    operator[k, k] += 0.5 * np.cos((n - 2.0 * k) * theta_a)
+    return _gap(operator, n)
+
+
+def _rotation_blocks(c: float, s: float, n_max: int):
+    """Yield (d_n, spare), n = 1..n_max: d_n the level-n block of g = [[c, s],
+    [-s, c]] by Risbo's step (J. Geodesy 70, 1996), d_n[j, k] = sum over x, y
+    in {0, 1} of w[j, x] w[k, y] g[x, y] d_{n-1}[j - x, k - y], w[j, 0] =
+    sqrt((n - j) / n), w[j, 1] = sqrt(j / n); spare, two arrays free until the
+    next step, which overwrites both.  Stepping both sides keeps d_n
+    orthogonal to rounding; stepping columns alone does not."""
+    norm = math.hypot(c, s)  # rounding off 1 in g would scale d_n by norm^n
+    c, s = c / norm, s / norm
+    # d_n sits at [1:n+2, 1:n+2] inside zero borders, so shifted copies are views
+    size = n_max + 2
+    buffers = np.zeros((4, size, size))
+    prev, cur, top, low = buffers
+    prev[1, 1] = 1.0
+    roots = np.sqrt(np.arange(size))
+    for n in range(1, n_max + 1):
+        w = roots[: n + 1] / roots[n]  # w[k, 1]; w[::-1] is w[k, 0]
+        cw, sw = np.multiply.outer((c, s), w)
+        same, shifted = prev[1 : n + 1, 1 : n + 2], prev[1 : n + 1, : n + 1]
+        scratch = cur[1 : n + 1, 1 : n + 2]  # overwritten by the last step
+        # rows x = 0, 1 of sum_y g[x, y] w[k, y] d_{n-1}[i, k - y]
+        row0 = np.multiply(same, cw[::-1], out=top[1 : n + 1, : n + 1])
+        row0 += np.multiply(shifted, sw, out=scratch)
+        row1 = np.multiply(shifted, cw, out=low[1 : n + 1, : n + 1])
+        row1 -= np.multiply(same, sw[::-1], out=scratch)
+        # d_n[j] = w[j, 0] row0[j] + w[j, 1] row1[j - 1], zero rows at the ends
+        top[n + 1, : n + 1] = low[0, : n + 1] = 0.0
+        head, tail = top[1 : n + 2, : n + 1], low[: n + 1, : n + 1]
+        head *= w[::-1, None]
+        tail *= w[:, None]
+        yield np.add(head, tail, out=cur[1 : n + 2, 1 : n + 2]), buffers[2:]
+        prev, cur = cur, prev
 
 
 @dataclass(frozen=True)
@@ -176,12 +218,34 @@ class GapProfile:
 
 
 def gap_profile(pair: Pair, n_max: int) -> GapProfile:
-    """Compute level_gap for n = 1..n_max and summarize the minimum."""
+    """Gaps of levels 1..n_max in one sweep, with their minimum.
+
+    A diagonal conjugation commuting with pi(a') turns b' of _frame into
+    Z g Z, g = [[|alpha|, r], [-r, |alpha|]], Z = diag(e^{i phi/2}, e^{-i phi/2}),
+    phi = arg alpha.  So, after a diagonal change of basis, the level-n
+    operator is diag(cos((n - 2k) theta_a)) / 2 + cos(u_j + v_k) d_n[j, k] / 2
+    with d_n from _rotation_blocks, u_j = phi (n/2 - j) - j pi/2 and
+    v_k = phi (n/2 - k) + k pi/2: O(n^2) work per level besides _gap.
+    """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    levels = tuple((n, level_gap(pair, n)) for n in range(1, n_max + 1))
+    theta_a, alpha, r = _frame(pair)
+    phi, k = cmath.phase(alpha), np.arange(n_max + 1)
+    left = np.exp((-1j * phi) * k) * np.array([1.0, -1j, -1.0, 1j])[k % 4]  # e^{i(u_k - phi n/2)}
+    right = left * (-1.0) ** k  # e^{i(v_k - phi n/2)}
+    levels = []
+    for n, (block, spare) in enumerate(_rotation_blocks(abs(alpha), r, n_max), start=1):
+        rows = n + 1 if n % 2 else n // 2 + 1  # all _gap reads
+        row_phase = (0.5 * cmath.exp(1j * phi * n)) * left[:rows, None]  # * right: e^{i(u+v)}/2
+        op = np.multiply(block[:rows], row_phase.real, out=spare[0, :rows, : n + 1])
+        tmp = np.multiply(block[:rows], row_phase.imag, out=spare[1, :rows, : n + 1])
+        op *= right[: n + 1].real
+        tmp *= right[: n + 1].imag
+        op -= tmp
+        op[k[:rows], k[:rows]] += 0.5 * np.cos((n - 2.0 * k[:rows]) * theta_a)
+        levels.append((n, _gap(op, n)))
     argmin = min(levels, key=lambda item: item[1])
-    return GapProfile(levels=levels, min_gap=argmin[1], argmin_level=argmin[0])
+    return GapProfile(levels=tuple(levels), min_gap=argmin[1], argmin_level=argmin[0])
 
 
 def word_defect_check(pair: Pair, word: Word, n: int, v: np.ndarray):

@@ -22,7 +22,7 @@ from su2gap import (
     trace,
     trace_triple,
 )
-from su2gap.measure_lab import _CHUNK, _parabola_segment_distance
+from su2gap.measure_lab import _CHUNK, _cell_counts, _parabola_segment_distance
 from su2gap.su2_core import haar_quaternions
 
 # chi-square 0.999 quantile at 49 degrees of freedom
@@ -167,6 +167,23 @@ class TestChunking:
         )
         counts = pushforward_histogram(self.COUNT, 12, seed=9).counts
         np.testing.assert_array_equal(counts, expected.astype(np.int64))
+
+
+class TestCellCounts:
+    @pytest.mark.parametrize("bins", [2, 3, 7, 12, 40, 41, 97])
+    def test_matches_histogram2d_on_and_beside_every_edge(self, rng, bins):
+        # binary search (histogram2d) and a corrected multiply must agree on
+        # every edge, one ulp to either side of it, and past the square
+        edges = np.linspace(-2.0, 2.0, bins + 1)
+        points = np.concatenate(
+            [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), [-2.5, 2.5]]
+        )
+        points = np.concatenate([points, rng.uniform(-2.0, 2.0, 500)])
+        xs, ts = (grid.ravel() for grid in np.meshgrid(points, points[::-1]))
+        expected, _, _ = np.histogram2d(
+            np.clip(xs, -2.0, 2.0), np.clip(ts, -2.0, 2.0), bins=bins, range=[[-2, 2], [-2, 2]]
+        )
+        np.testing.assert_array_equal(_cell_counts(xs, ts, bins), expected.astype(np.int64))
 
 
 def sample_fiber_reference(t, count, seed):

@@ -21,6 +21,7 @@ from su2gap import (
     gap_profile,
     haar_pair,
     haar_sample,
+    inverse,
     irrep_matrix,
     level_gap,
     trace,
@@ -196,6 +197,26 @@ def commuting_gap_oracle(angle_a: float, angle_b: float, n: int) -> float:
     return 1.0 - float(eigenvalues.max())
 
 
+def edge_pairs(rng) -> list[Pair]:
+    """Haar pairs and the frame's edge cases: +-I, parallel and antiparallel
+    axes, Re alpha < 0 on either generator, and |v_a| ~ 1e-9."""
+    minus = SU2Element(-1.0 + 0.0j, 0.0j)
+    g, h = haar_sample(rng), haar_sample(rng)
+    axis = SU2Element.from_quaternion(0.3, 0.5, -0.4, 0.7)
+    pairs = [haar_pair(rng) for _ in range(3)]
+    pairs += [Pair(IDENTITY, g), Pair(minus, g), Pair(g, IDENTITY), Pair(g, minus)]
+    pairs += [
+        Pair(axis, axis * axis),  # parallel axes
+        Pair(axis, SU2Element(-axis.alpha.conjugate(), axis.beta)),  # parallel, Re alpha < 0
+        Pair(axis, SU2Element(axis.alpha.conjugate(), -axis.beta)),  # antiparallel
+        Pair(SU2Element(-g.alpha, -g.beta), h),  # Re alpha < 0 on either side
+        Pair(g, SU2Element(-h.alpha, -h.beta)),
+        Pair(SU2Element.from_quaternion(1.0, 1e-9, -2e-9, 3e-9), h),  # |v_a| ~ 1e-9
+        Pair(SU2Element.from_quaternion(-1.0, 1e-9, 0.0, 0.0), h),
+    ]
+    return pairs
+
+
 class TestLevelGap:
     def test_identity_pair(self):
         for n in range(1, 11):
@@ -233,25 +254,11 @@ class TestLevelGap:
             for n in (1, 3, 8, 150):
                 assert abs(level_gap(pair, n) - level_gap(moved, n)) < 1e-9
 
-    @pytest.mark.parametrize("n", [60, 120, 200])
+    @pytest.mark.parametrize("n", [60, 61, 62, 63, 120, 200, 201])
     def test_canonical_frame_against_averaging_operator(self, rng, n):
         # level_gap works on a conjugate of the pair; averaging_operator builds
-        # the blocks of the pair as given
-        minus = SU2Element(-1.0 + 0.0j, 0.0j)
-        g, h = haar_sample(rng), haar_sample(rng)
-        axis = SU2Element.from_quaternion(0.3, 0.5, -0.4, 0.7)
-        pairs = [haar_pair(rng) for _ in range(3)]
-        pairs += [Pair(IDENTITY, g), Pair(minus, g), Pair(g, IDENTITY), Pair(g, minus)]
-        pairs += [
-            Pair(axis, axis * axis),  # parallel axes
-            Pair(axis, SU2Element(-axis.alpha.conjugate(), axis.beta)),  # parallel, Re alpha < 0
-            Pair(axis, SU2Element(axis.alpha.conjugate(), -axis.beta)),  # antiparallel
-            Pair(SU2Element(-g.alpha, -g.beta), h),  # Re alpha < 0 on either side
-            Pair(g, SU2Element(-h.alpha, -h.beta)),
-            Pair(SU2Element.from_quaternion(1.0, 1e-9, -2e-9, 3e-9), h),  # |v_a| ~ 1e-9
-            Pair(SU2Element.from_quaternion(-1.0, 1e-9, 0.0, 0.0), h),
-        ]
-        for pair in pairs:
+        # the blocks of the pair as given; n mod 4 covers every fold branch
+        for pair in edge_pairs(rng):
             oracle = 1.0 - np.linalg.eigvalsh(averaging_operator(pair, n))[-1]
             assert abs(level_gap(pair, n) - oracle) < 1e-9
 
@@ -315,6 +322,111 @@ class TestGapProfile:
     def test_requires_positive_nmax(self, lps_pair):
         with pytest.raises(ValueError):
             gap_profile(lps_pair, 0)
+
+
+class TestSweepAgainstPoint:
+    def test_profile_rows_match_level_gap(self, rng):
+        pairs = edge_pairs(rng) + [Pair(IDENTITY, IDENTITY)]
+        for pair in pairs:
+            for n, gap in gap_profile(pair, 201).levels:
+                assert abs(gap - level_gap(pair, n)) <= 1e-12, (pair, n)
+
+    def test_rotation_blocks(self, rng):
+        pair = haar_pair(rng)
+        _, alpha, r = spectral._frame(pair)
+        for c, s in ((abs(alpha), r), (0.0, 1.0), (math.cos(1e-6), math.sin(1e-6))):
+            rotation = SU2Element(complex(c, 0.0), complex(s, 0.0))
+            for n, (block, _) in enumerate(spectral._rotation_blocks(c, s, 400), start=1):
+                if n <= 30:
+                    np.testing.assert_allclose(block, irrep_matrix(rotation, n), rtol=0, atol=1e-12)
+            assert n == 400
+            assert np.abs(block @ block.T - np.eye(401)).max() <= 1e-13
+
+
+BINARY_POLYHEDRAL = {
+    # name: (second generator as a quaternion, group order, Molien series
+    # (1 + t^e) / ((1 - t^d1)(1 - t^d2)) as (e, d1, d2), Cayley gap)
+    "2T": ((0.0, 1.0, 0.0, 0.0), 24, (12, 6, 8), 0.359612),
+    "2O": ((1.0, 1.0, 0.0, 0.0), 48, (18, 8, 12), 0.250000),
+    "2I": (((1 + 5**0.5) / 2, 2 / (1 + 5**0.5), 1.0, 0.0), 120, (30, 12, 20), 0.095492),
+}
+
+
+def binary_polyhedral_pair(name: str) -> Pair:
+    """<(1 + i + j + k) / 2, second generator>, a binary polyhedral group."""
+    second = BINARY_POLYHEDRAL[name][0]
+    return Pair(SU2Element.from_quaternion(1, 1, 1, 1), SU2Element.from_quaternion(*second))
+
+
+def molien_coefficients(exponent: int, d1: int, d2: int, n_max: int) -> np.ndarray:
+    """t^n coefficients of (1 + t^exponent) / ((1 - t^d1)(1 - t^d2)): the
+    number of invariant binary forms of degree n."""
+    count = np.zeros(n_max + 1, dtype=int)
+    for i in range(0, n_max + 1, d1):
+        count[i::d2] += 1
+    count[exponent:] += count[: n_max + 1 - exponent].copy()
+    return count
+
+
+def cayley_graph(pair: Pair) -> tuple[int, float]:
+    """(order, gap) of the finite group <a, b> from its multiplication table:
+    1 minus the second eigenvalue of the averaging operator on its Cayley graph."""
+    moves = [pair.a, inverse(pair.a), pair.b, inverse(pair.b)]
+
+    def key(g):
+        return tuple(round(x, 8) + 0.0 for x in (g.alpha.real, g.alpha.imag, g.beta.real, g.beta.imag))
+
+    elements, index, table = [IDENTITY], {key(IDENTITY): 0}, []
+    while len(table) < len(elements):
+        row = []
+        for move in moves:
+            product = elements[len(table)] * move
+            if key(product) not in index:
+                index[key(product)] = len(elements)
+                elements.append(product)
+            row.append(index[key(product)])
+        table.append(row)
+    operator = np.zeros((len(elements), len(elements)))
+    for i, row in enumerate(table):
+        for j in row:
+            operator[i, j] += 0.25
+    return len(elements), 1.0 - float(np.linalg.eigvalsh(operator)[-2])
+
+
+class TestExactOracles:
+    @pytest.mark.parametrize("name, n_max", [("2T", 200), ("2O", 200), ("2I", 300)])
+    def test_molien_zeros_and_cayley_floor(self, name, n_max):
+        # every level splits into irreducibles of the finite group G, so the
+        # eigenvalue-1 space holds the G-invariant forms (counted by Molien's
+        # series; Springer, Invariant Theory, LNM 585) and every other
+        # eigenvalue is one of G's Cayley graph
+        _, order, series, cayley = BINARY_POLYHEDRAL[name]
+        pair = binary_polyhedral_pair(name)
+        size, floor = cayley_graph(pair)
+        assert size == order
+        assert abs(floor - cayley) < 1e-6
+        invariants = molien_coefficients(*series, n_max)
+        for n, gap in gap_profile(pair, n_max).levels:
+            if invariants[n]:
+                assert gap <= 1e-12, n
+            else:
+                assert gap >= floor - 1e-12, n
+
+    def test_word_moves(self, rng):
+        # <(I - A)v, v> = (|pi(a)v - v|^2 + |pi(b)v - v|^2) / 4 and the
+        # triangle inequality: |pi(a^2)v - v| <= 2 |pi(a)v - v|, and
+        # |pi(ab)v - v| <= |pi(a)v - v| + |pi(b)v - v|, and back from ab to a
+        for _ in range(4):
+            a, b = haar_pair(rng)
+            pairs = [(a, b), (a * a, b), (a * b, b), (b, a), (inverse(a), b), (a, inverse(b))]
+            gaps = [dict(gap_profile(Pair(*p), 150).levels) for p in pairs]
+            for n in (1, 5, 20, 80, 150):
+                gap, squared, product, swapped, inverted_a, inverted_b = (g[n] for g in gaps)
+                assert squared <= 4.0 * gap + 1e-12
+                assert product <= 3.0 * gap + 1e-12
+                assert gap <= 3.0 * product + 1e-12
+                for same in (swapped, inverted_a, inverted_b):
+                    assert abs(same - gap) <= 1e-12
 
 
 def random_unit_vector(rng, dim):
