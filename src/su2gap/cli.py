@@ -5,7 +5,8 @@ byte-identical artifacts.  Output is CSV (default for tabular data) or JSON
 (default for pair records); CSV floats carry 17 significant digits so values
 round-trip losslessly; neither format carries a bare NaN or infinity.
 Exit codes: 0 success, 1 usage error (including invalid input such as NaN or
-infinite pair components, and an --out path that cannot be written),
+infinite pair components or coordinates, and an --out path that cannot be
+written),
 2 domain error, 3 numerical error (an eigensolver failure, an eigenvalue
 outside [-1, 1], or a non-finite value in the artifact).
 """
@@ -149,14 +150,19 @@ def _cmd_traces(args) -> tuple:
 
 
 def _cmd_construct(args) -> tuple:
-    if args.fricke is not None:
-        x, t = args.fricke
-        pair = trace_geometry.construct_pair_from_fricke(x, t)
-        meta = {"source": "fricke", "x": x, "t": t}
-    else:
-        x, y, z = args.triple
-        pair = trace_geometry.construct_pair_from_traces(x, y, z)
-        meta = {"source": "traces", "x": x, "y": y, "z": z}
+    try:
+        if args.fricke is not None:
+            x, t = args.fricke
+            pair = trace_geometry.construct_pair_from_fricke(x, t)
+            meta = {"source": "fricke", "x": x, "t": t}
+        else:
+            x, y, z = args.triple
+            pair = trace_geometry.construct_pair_from_traces(x, y, z)
+            meta = {"source": "traces", "x": x, "y": y, "z": z}
+    except DomainError:
+        raise
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     spec = pair_to_spec(pair)
     return meta, _PAIR_COLUMNS, [spec["a"] + spec["b"]], lambda: spec
 

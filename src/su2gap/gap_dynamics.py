@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .su2_core import Pair, inverse, multiply, multiply_components
+from .su2_core import Pair, commutator_trace, complex_rows, inverse, multiply, quaternion_product
 
 DEFAULT_MAX_STEPS = 64
 ORBIT_DEDUP_GRID = 1e-6
@@ -127,24 +127,10 @@ class Orbit:
         return len(self.paths)
 
 
-def _inverse_components(g: tuple) -> tuple:
-    return g[0], -g[1], -g[2], -g[3], g[4]
-
-
-def _fricke_components(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """pi_map on component arrays, through the same commutator product."""
-    c = multiply_components(multiply_components(a, b), _inverse_components(a))
-    return 2.0 * a[0], 2.0 * multiply_components(c, _inverse_components(b))[0]
-
-
 def _dedup_keys(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """One int64 per 1e-6 cell of (x, t), one to one as |t| < 2^31 * 1e-6."""
     kx, kt = (np.rint(v / ORBIT_DEDUP_GRID).astype(np.int64) for v in (x, t))
     return kx * (1 << 32) + kt
-
-
-def _complex_rows(g: tuple) -> np.ndarray:
-    return np.stack(g[:4], axis=1).view(complex)
 
 
 def wordmap_orbit(pair: Pair, depth: int, max_points: int = 10000) -> Orbit:
@@ -160,20 +146,19 @@ def wordmap_orbit(pair: Pair, depth: int, max_points: int = 10000) -> Orbit:
         raise ValueError("depth must be nonnegative")
     if max_points < 1:
         raise ValueError("max_points must be at least 1")
-    parts = [(g.alpha.real, g.alpha.imag, g.beta.real, g.beta.imag, g._ops) for g in pair]
-    a, b = (tuple(np.array([v]) for v in part) for part in parts)
-    x, t = _fricke_components(a, b)
+    a, b = (tuple(np.array([v]) for v in g.quaternion) for g in pair)
+    x, t = 2.0 * a[0], commutator_trace(a[1:], b[1:])
     seen = _dedup_keys(x, t)
     paths, frontier = [""], [""]
-    levels = [(_complex_rows(a), _complex_rows(b), x, t)]
+    levels = [(complex_rows(a), complex_rows(b), x, t)]
     for _ in range(depth):
         if len(paths) >= max_points:
             break
         # the frontier's images under MOVES in order S, X, I, M: candidate i
         # is move i % 4 of frontier point i // 4
-        square, product = multiply_components(a, a), multiply_components(a, b)
-        images = ((square, b), (b, a), (_inverse_components(a), b), (product, b))
-        coords = zip(*(_fricke_components(*image) for image in images))
+        square, product = quaternion_product(a, a), quaternion_product(a, b)
+        images = ((square, b), (b, a), ((a[0], -a[1], -a[2], -a[3]), b), (product, b))
+        coords = zip(*((2.0 * g[0], commutator_trace(g[1:], h[1:])) for g, h in images))
         x, t = (np.stack(c, axis=1).ravel() for c in coords)
         keys = _dedup_keys(x, t)
         cells, first = np.unique(keys, return_index=True)
@@ -191,6 +176,6 @@ def wordmap_orbit(pair: Pair, depth: int, max_points: int = 10000) -> Orbit:
         del square, product, images
         frontier = [frontier[i >> 2] + _MOVE_CODES[i & 3] for i in fresh.tolist()]
         paths += frontier
-        levels.append((_complex_rows(a), _complex_rows(b), x, t))
+        levels.append((complex_rows(a), complex_rows(b), x, t))
     a_rows, b_rows, x, t = (np.concatenate(column) for column in zip(*levels))
     return Orbit(paths, x, t, a_rows, b_rows)

@@ -5,9 +5,11 @@ Provides the empirical pushforward of Haar measure under the projection to
 sampling of commutator-trace fibers, and the transport of a fiber under
 squaring the first generator.
 
-Every sampler works on flat arrays of (alpha, beta) components, one numpy
-pass per chunk of Haar pairs or per fiber, so no per-sample Python code runs;
-SU2Element objects are built only for the pairs that sample_fiber returns.
+Every sampler works on flat arrays of quaternion components (w, x, y, z),
+one numpy pass per chunk of Haar pairs or per fiber, so no per-sample Python
+code runs; SU2Element objects are built only for the pairs that sample_fiber
+returns.  Products go through su2_core.quaternion_product and every
+commutator trace is the closed form su2_core.commutator_trace.
 """
 
 from __future__ import annotations
@@ -18,38 +20,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFiberWarning
-from .su2_core import Pair, SU2Element, haar_quaternions
+from .su2_core import (
+    Pair,
+    SU2Element,
+    commutator_trace,
+    complex_rows,
+    haar_quaternions,
+    quaternion_product,
+)
 from .trace_geometry import construct_components_from_traces
 
 _CHUNK = 1 << 18
-
-
-def _mul(a1, b1, a2, b2):
-    """Componentwise product of SU(2) elements given as (alpha, beta) arrays."""
-    return a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)
-
-
-def _imag_part(alpha, beta):
-    """Imaginary part (i, j, k components) of the quaternion of (alpha, beta)."""
-    return alpha.imag, beta.real, beta.imag
-
-
-def _commutator_trace(u, v):
-    """tr(a b a^-1 b^-1) = 2 - 4 |u x v|^2 for unit quaternions a and b with
-    imaginary parts u and v, each three arrays; one cross component at a time."""
-    norm_sq = 0.0
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        c = u[j] * v[k] - u[k] * v[j]
-        norm_sq = norm_sq + c * c
-    return 2.0 - 4.0 * norm_sq
 
 
 def _haar_fricke_chunk(rng: np.random.Generator, size: int):
     """(x, t) coordinates of `size` Haar pairs; the quaternions die on return."""
     qa = haar_quaternions(rng, size)
     qb = haar_quaternions(rng, size)
-    return 2.0 * qa[:, 0], _commutator_trace(qa.T[1:], qb.T[1:])
+    return 2.0 * qa[:, 0], commutator_trace(qa.T[1:], qb.T[1:])
 
 
 def _haar_fricke_chunks(rng: np.random.Generator, count: int):
@@ -218,8 +206,10 @@ def _fiber_triples(rng: np.random.Generator, t: float, count: int):
 
 
 def _fiber_components(t: float, count: int, seed: int):
-    """(alpha_a, beta_a, alpha_b, beta_b) arrays of `count` pairs on the fiber
-    at t; see sample_fiber for the construction and its random streams."""
+    """Quaternion components ((w, x, y, z) of a, (w, x, y, z) of b), as arrays,
+    of `count` pairs on the fiber at t before conjugation, and the generator
+    of the conjugators; see sample_fiber for the construction and its random
+    streams."""
     t = float(t)
     if not -2.0 <= t <= 2.0:
         raise ValueError(f"t = {t!r} must lie in [-2, 2]")
@@ -238,15 +228,7 @@ def _fiber_components(t: float, count: int, seed: int):
         triples = (np.zeros(count),) * 3
     else:
         triples = _fiber_triples(rng_plane, t, count)
-    alpha_a, beta_a, alpha_b, beta_b = construct_components_from_traces(*triples)
-
-    k = haar_quaternions(rng_conj, count)
-    k_alpha, k_beta = k[:, 0] + 1j * k[:, 1], k[:, 2] + 1j * k[:, 3]
-
-    def conjugate(alpha, beta):  # k g k^-1
-        return _mul(*_mul(k_alpha, k_beta, alpha, beta), np.conj(k_alpha), -k_beta)
-
-    return (*conjugate(alpha_a, beta_a), *conjugate(alpha_b, beta_b))
+    return construct_components_from_traces(*triples), rng_conj
 
 
 def sample_fiber(t: float, count: int, seed: int) -> list[Pair]:
@@ -266,11 +248,14 @@ def sample_fiber(t: float, count: int, seed: int) -> list[Pair]:
     fiber is sampled as Haar conjugates of the single construction and a
     DegenerateFiberWarning is issued.
     """
-    components = (c.tolist() for c in _fiber_components(t, count, seed))
-    return [
-        Pair(SU2Element(alpha_a, beta_a), SU2Element(alpha_b, beta_b))
-        for alpha_a, beta_a, alpha_b, beta_b in zip(*components)
-    ]
+    (a, b), rng_conj = _fiber_components(t, count, seed)
+    k = tuple(haar_quaternions(rng_conj, count).T)
+    k_inverse = (k[0], -k[1], -k[2], -k[3])
+
+    def conjugate(g):  # k g k^-1, as (alpha, beta) rows
+        return complex_rows(quaternion_product(quaternion_product(k, g), k_inverse)).tolist()
+
+    return [Pair(SU2Element(*ga), SU2Element(*gb)) for ga, gb in zip(conjugate(a), conjugate(b))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,9 +280,10 @@ def fiber_transport_demo(
     """
     if bins < 2:
         raise ValueError("bins must be at least 2")
-    alpha_a, beta_a, alpha_b, beta_b = _fiber_components(t, count, seed)
-    square = _mul(alpha_a, beta_a, alpha_a, beta_a)
-    values = _commutator_trace(_imag_part(*square), _imag_part(alpha_b, beta_b))
+    # tr([a^2, b]) is unchanged by simultaneous conjugation, so the pairs
+    # are not conjugated
+    (a, b), _ = _fiber_components(t, count, seed)
+    values = commutator_trace(quaternion_product(a, a)[1:], b[1:])
     counts, _ = np.histogram(
         np.clip(values, -2.0, 2.0), bins=bins, range=(-2.0, 2.0)
     )

@@ -4,21 +4,21 @@ Elements are stored as the complex pair (alpha, beta) of the matrix
 
     [[alpha, beta], [-conj(beta), conj(alpha)]],      |alpha|^2 + |beta|^2 = 1,
 
-so products, inverses and traces are exact scalar arithmetic on two complex
-numbers.  Long products are renormalized every ``RENORM_EVERY`` multiplications
-to keep the unit-norm invariant below 1e-12.
+or as the unit quaternion (w, x, y, z) = (Re alpha, Im alpha, Re beta,
+Im beta).  One product on those real components serves single elements and
+arrays of them alike, and every product is divided by its norm, so the
+unit-norm invariant holds to rounding however long a product gets.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 APPROX_TOL = 1e-10
-RENORM_EVERY = 32
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,6 @@ class SU2Element:
 
     alpha: complex
     beta: complex
-    _ops: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", complex(self.alpha))
@@ -50,6 +49,11 @@ class SU2Element:
         if norm < 1e-12:
             raise ValueError("quaternion too close to zero to normalize")
         return cls(complex(w / norm, x / norm), complex(y / norm, z / norm))
+
+    @property
+    def quaternion(self) -> tuple[float, float, float, float]:
+        """The components (w, x, y, z) = (Re alpha, Im alpha, Re beta, Im beta)."""
+        return self.alpha.real, self.alpha.imag, self.beta.real, self.beta.imag
 
     @property
     def matrix(self) -> np.ndarray:
@@ -82,42 +86,46 @@ class Pair(NamedTuple):
     b: SU2Element
 
 
+def quaternion_product(g: tuple, h: tuple) -> tuple:
+    """Product g*h of elements given as (w, x, y, z) components, each a float
+    or an array, divided by its norm; floats and array rows round alike."""
+    gw, gx, gy, gz = g
+    hw, hx, hy, hz = h
+    w = (gw * hw - gx * hx) - (gy * hy + gz * hz)
+    x = (gw * hx + gx * hw) - (gz * hy - gy * hz)
+    y = (gw * hy - gx * hz) + (gy * hw + gz * hx)
+    z = (gw * hz + gx * hy) + (gz * hw - gy * hx)
+    norm = np.sqrt(w * w + x * x + y * y + z * z)
+    return w / norm, x / norm, y / norm, z / norm
+
+
+def complex_rows(g: tuple) -> np.ndarray:
+    """(n, 2) array of the (alpha, beta) rows of elements given as (w, x, y, z)
+    arrays of length n."""
+    return np.stack(g, axis=1).view(complex)
+
+
+def commutator_trace(u: tuple, v: tuple):
+    """tr(a b a^-1 b^-1) = 2 - 4 |u x v|^2 for unit quaternions a and b with
+    imaginary parts u = (x, y, z) and v, each a float or an array, one cross
+    component at a time."""
+    norm_sq = 0.0
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        c = u[j] * v[k] - u[k] * v[j]
+        norm_sq = norm_sq + c * c
+    return 2.0 - 4.0 * norm_sq
+
+
 def multiply(g: SU2Element, h: SU2Element) -> SU2Element:
-    """Matrix product g*h, with periodic renormalization against drift."""
-    alpha = g.alpha * h.alpha - g.beta * h.beta.conjugate()
-    beta = g.alpha * h.beta + g.beta * h.alpha.conjugate()
-    ops = g._ops + h._ops + 1
-    if ops >= RENORM_EVERY:
-        norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-        alpha /= norm
-        beta /= norm
-        ops = 0
-    return SU2Element(alpha, beta, ops)
-
-
-def multiply_components(g: tuple, h: tuple) -> tuple:
-    """Array form of multiply on (Re alpha, Im alpha, Re beta, Im beta, ops)
-    tuples, rounded as multiply rounds each row: the real products follow
-    Python's complex product, and float_power squares the norm with C pow as
-    Python's ``**`` does (np.square can differ in the last bit)."""
-    gar, gai, gbr, gbi, gops = g
-    har, hai, hbr, hbi, hops = h
-    ar = (gar * har - gai * hai) - (gbr * hbr + gbi * hbi)
-    ai = (gar * hai + gai * har) - (gbi * hbr - gbr * hbi)
-    br = (gar * hbr - gai * hbi) + (gbr * har + gbi * hai)
-    bi = (gar * hbi + gai * hbr) + (gbi * har - gbr * hai)
-    ops = gops + hops + 1
-    renorm = np.flatnonzero(ops >= RENORM_EVERY)
-    sel = [c[renorm] for c in (ar, ai, br, bi)]
-    norm = np.sqrt(sum(np.float_power(np.hypot(*pair), 2) for pair in (sel[:2], sel[2:])))
-    ar[renorm], ai[renorm], br[renorm], bi[renorm] = (part / norm for part in sel)
-    ops[renorm] = 0
-    return ar, ai, br, bi, ops
+    """Matrix product g*h, renormalized against drift."""
+    w, x, y, z = quaternion_product(g.quaternion, h.quaternion)
+    return SU2Element(complex(w, x), complex(y, z))
 
 
 def inverse(g: SU2Element) -> SU2Element:
-    """Group inverse; equals the conjugate transpose."""
-    return SU2Element(g.alpha.conjugate(), -g.beta, g._ops)
+    """Group inverse (w, -x, -y, -z); equals the conjugate transpose."""
+    return SU2Element(g.alpha.conjugate(), -g.beta)
 
 
 def trace(g: SU2Element) -> float:
@@ -256,10 +264,7 @@ def pair_to_spec(pair: Pair) -> dict:
     Each element is flattened to [re(alpha), im(alpha), re(beta), im(beta)].
     """
 
-    def comps(g: SU2Element) -> list[float]:
-        return [g.alpha.real, g.alpha.imag, g.beta.real, g.beta.imag]
-
-    return {"type": "matrix", "a": comps(pair.a), "b": comps(pair.b)}
+    return {"type": "matrix", "a": list(pair.a.quaternion), "b": list(pair.b.quaternion)}
 
 
 def pair_from_matrix_spec(spec: dict) -> Pair:

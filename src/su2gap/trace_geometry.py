@@ -25,7 +25,8 @@ from .su2_core import (
     IDENTITY,
     Pair,
     SU2Element,
-    commutator,
+    commutator_trace,
+    complex_rows,
     multiply,
     pair_from_matrix_spec,
     trace,
@@ -72,7 +73,8 @@ def in_omega(x, y, z, tol: float = MEMBERSHIP_TOL):
 
 def pi_map(pair: Pair) -> FrickeCoord:
     """Project a pair to (tr(a), tr([a, b])); the image is always in D."""
-    return FrickeCoord(trace(pair.a), trace(commutator(pair.a, pair.b)))
+    a, b = pair
+    return FrickeCoord(trace(a), commutator_trace(a.quaternion[1:], b.quaternion[1:]))
 
 
 def trace_of_square(x):
@@ -100,6 +102,14 @@ def fricke_commutator_trace(x, y, z):
     return x * x + y * y + z * z - x * y * z - 2.0
 
 
+def _finite(*coords) -> list[float]:
+    """The coordinates as floats; a NaN or infinity raises ValueError."""
+    values = [float(c) for c in coords]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"coordinates must be finite, got {tuple(values)!r}")
+    return values
+
+
 def construct_pair_from_fricke(x: float, t: float) -> Pair:
     """Explicit pair with tr(a) = x and tr([a, b]) = t, for (x, t) in D.
 
@@ -110,10 +120,10 @@ def construct_pair_from_fricke(x: float, t: float) -> Pair:
 
     At |x| = 2 the domain forces t = 2 and the pair is (+-I, I).
 
-    Raises DomainError when (x, t) lies outside D beyond tolerance.
+    Raises DomainError when (x, t) lies outside D beyond tolerance, and
+    ValueError for a NaN or infinite coordinate.
     """
-    x = float(x)
-    t = float(t)
+    x, t = _finite(x, t)
     if not in_domain_D(x, t):
         raise DomainError(f"(x, t) = ({x!r}, {t!r}) is not in D: requires x^2 - 2 <= t")
     if abs(x) >= 2.0 - 1e-15:
@@ -128,8 +138,9 @@ def construct_pair_from_fricke(x: float, t: float) -> Pair:
 
 
 def construct_components_from_traces(x, y, z):
-    """Components (alpha_a, beta_a, alpha_b, beta_b) of pairs with traces
-    (tr(a), tr(b), tr(ab)) = (x, y, z) in Omega, one pair per array entry.
+    """Quaternion components ((w, x, y, z) of a, (w, x, y, z) of b) of pairs
+    with traces (tr(a), tr(b), tr(ab)) = (x, y, z) in Omega, one pair per
+    array entry.
 
     Puts a = diag(e^{i angle}, e^{-i angle}) with x = 2 cos(angle) and solves
     the two linear conditions on the (1, 1) entry p of b:
@@ -144,9 +155,9 @@ def construct_components_from_traces(x, y, z):
     Entries with |x| = 2 (a = +-I) require z = sign(x) * y and get b as the
     real rotation with trace y.
 
-    Takes scalars or 1-D arrays of one length and returns four complex 1-D
-    arrays.  Raises DomainError, naming the first offending entry, when a
-    triple lies outside Omega beyond tolerance.
+    Takes scalars or 1-D arrays of one length and returns two 4-tuples of
+    real 1-D arrays.  Raises DomainError, naming the first offending entry,
+    when a triple lies outside Omega beyond tolerance.
     """
     x, y, z = (np.asarray(v, dtype=float).ravel() for v in (x, y, z))
 
@@ -173,19 +184,24 @@ def construct_components_from_traces(x, y, z):
         f"no unitary completion for (x, y, z) = ({x!r}, {y!r}, {z!r})"
     ))
     half = np.clip(re_p, -1.0, 1.0)
-    alpha_a = np.where(edge, sign, cos_a + 1j * sin_a)
-    alpha_b = np.where(edge, half + 0j, re_p + 1j * im_p)
-    beta_b = np.where(edge, -np.sqrt(1.0 - half * half), np.sqrt(np.maximum(0.0, q_sq)))
-    return alpha_a, np.zeros_like(alpha_a), alpha_b, beta_b + 0j
+    zero = np.zeros_like(x)
+    a = (np.where(edge, sign, cos_a), np.where(edge, 0.0, sin_a), zero, zero)
+    b = (
+        np.where(edge, half, re_p),
+        np.where(edge, 0.0, im_p),
+        np.where(edge, -np.sqrt(1.0 - half * half), np.sqrt(np.maximum(0.0, q_sq))),
+        zero,
+    )
+    # + 0.0 turns -0.0 into 0.0, so a zero component prints as 0
+    return tuple(c + 0.0 for c in a), tuple(c + 0.0 for c in b)
 
 
 def construct_pair_from_traces(x: float, y: float, z: float) -> Pair:
     """Explicit pair with traces (tr(a), tr(b), tr(ab)) = (x, y, z) in Omega,
-    built by construct_components_from_traces; raises DomainError outside."""
-    alpha_a, beta_a, alpha_b, beta_b = (
-        complex(c[0]) for c in construct_components_from_traces(x, y, z)
-    )
-    return Pair(SU2Element(alpha_a, beta_a), SU2Element(alpha_b, beta_b))
+    built by construct_components_from_traces; raises DomainError outside and
+    ValueError for a NaN or infinite coordinate."""
+    components = construct_components_from_traces(*_finite(x, y, z))
+    return Pair(*(SU2Element(*complex_rows(g)[0]) for g in components))
 
 
 def pair_from_spec(spec: dict) -> Pair:

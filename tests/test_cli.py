@@ -255,12 +255,27 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["traces", "gap-profile"])
     def test_non_finite_pair_file_exit_one(self, tmp_path, bad, command):
         pair_file = tmp_path / "pair.json"
-        pair_file.write_text(f'{{"type":"matrix","a":[{bad},0,0,0],"b":[1,0,0,0]}}')
         out = tmp_path / "out.csv"
         argv = [command, "--pair", str(pair_file), "--out", str(out)]
         if command == "gap-profile":
             argv += ["--nmax", "3"]
+        for record in (
+            f'{{"type":"matrix","a":[{bad},0,0,0],"b":[1,0,0,0]}}',
+            f'{{"type":"fricke","x":{bad},"t":0}}',
+            f'{{"type":"fricke","x":0,"t":{bad}}}',
+            f'{{"type":"traces","x":0,"y":{bad},"z":0}}',
+        ):
+            pair_file.write_text(record)
+            assert run_cli(*argv) == 1, record
+            assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("coords", [["--fricke", "{}", "0"], ["--triple", "0", "0", "{}"]])
+    def test_non_finite_construct_exit_one(self, tmp_path, capsys, bad, coords):
+        out = tmp_path / "out.json"
+        argv = ["construct", *(c.format(bad) for c in coords), "--out", str(out)]
         assert run_cli(*argv) == 1
+        assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_threads_flag_is_unknown(self, tmp_path):

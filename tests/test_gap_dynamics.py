@@ -267,6 +267,9 @@ class TestWordmapOrbit:
         )
         orbit = assert_matches_reference(pair, 8, 20000)
         np.testing.assert_allclose(orbit.t, 2.0, atol=1e-12)
+        # every product is renormalized: each row is unit to rounding
+        for rows in (orbit.a, orbit.b):
+            np.testing.assert_allclose((rows.view(float) ** 2).sum(axis=1), 1.0, rtol=0, atol=1e-15)
         # S, I and M all keep b, so candidates share keys inside one depth
         per_depth = np.bincount([len(path) for path in orbit.paths])
         assert len(per_depth) == 9 and (per_depth[1:] < 4 * per_depth[:-1]).all()

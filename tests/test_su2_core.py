@@ -19,12 +19,13 @@ from su2gap import (
     inverse,
     multiply,
     pair_to_spec,
+    pi_map,
     trace,
 )
 from su2gap.su2_core import (
-    RENORM_EVERY,
-    multiply_components,
+    commutator_trace,
     pair_from_matrix_spec,
+    quaternion_product,
     reduce_letters,
 )
 
@@ -77,6 +78,13 @@ class TestTraceAndProducts:
         with pytest.raises(ValueError):
             SU2Element(0.5 + 0.0j, 0.0j)
 
+    def test_repeated_squaring_stays_unit(self, rng):
+        # every product is renormalized, so the norm error cannot build up
+        g = haar_sample(rng)
+        for _ in range(64):
+            g = g * g
+            assert abs(sum(c * c for c in g.quaternion) - 1.0) <= 1e-15
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
     def test_constructor_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
@@ -85,31 +93,26 @@ class TestTraceAndProducts:
             SU2Element(0.0j, bad)
 
 
-def components(elements):
-    rows = [(g.alpha.real, g.alpha.imag, g.beta.real, g.beta.imag, g._ops) for g in elements]
-    return tuple(np.array(column) for column in zip(*rows))
+def off_unit_elements(rng, count):
+    """Haar elements scaled off unit norm by 1e-10, as (w, x, y, z) columns
+    and as SU2Elements; the scale makes every renormalization visible."""
+    q = haar_quaternions(rng, count) * (1 + 1e-10)
+    return tuple(q.T), [SU2Element(complex(w, x), complex(y, z)) for w, x, y, z in q.tolist()]
 
 
 class TestComponentProducts:
     def test_rows_equal_scalar_multiply(self, rng):
-        # oracle: multiply on each row.  Norms off by 1e-10 make every
-        # renormalization visible, the op counts fall on both sides of
-        # RENORM_EVERY, and enough rows renormalize that a norm squared
-        # by np.square instead of pow would differ in some last bit.
-        count = 40000
-        ops = rng.integers(0, RENORM_EVERY, size=(2, count))
-        q = haar_quaternions(rng, 2 * count).reshape(2, count, 4) * (1 + 1e-10)
-        g, h = ((*quats.T, counts) for quats, counts in zip(q, ops))
-        gs, hs = (
-            [SU2Element(complex(w, x), complex(y, z), int(k)) for (w, x, y, z), k in zip(quats, counts)]
-            for quats, counts in zip(q.tolist(), ops)
-        )
-        renormalized = ops.sum(axis=0) + 1 >= RENORM_EVERY
-        assert 0 < renormalized.sum() < count
-        got = multiply_components(g, h)
-        expected = components([multiply(a, b) for a, b in zip(gs, hs)])
+        # oracle: multiply on each row
+        (g, gs), (h, hs) = off_unit_elements(rng, 40000), off_unit_elements(rng, 40000)
+        got = quaternion_product(g, h)
+        expected = zip(*(multiply(a, b).quaternion for a, b in zip(gs, hs)))
         for got_column, expected_column in zip(got, expected):
             np.testing.assert_array_equal(got_column, expected_column)
+
+    def test_pi_map_equals_array_commutator_trace(self, rng):
+        (a, gs), (b, hs) = off_unit_elements(rng, 20000), off_unit_elements(rng, 20000)
+        expected = [pi_map(Pair(g, h)).t for g, h in zip(gs, hs)]
+        np.testing.assert_array_equal(commutator_trace(a[1:], b[1:]), expected)
 
 
 class TestCommutator:

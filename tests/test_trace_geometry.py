@@ -214,10 +214,10 @@ class TestTripleConstruction:
     def test_array_form_matches_scalar_wrapper(self, rng):
         edge_rows = [(2.0, 0.5, 0.5), (-2.0, 0.5, -0.5), (2.0, -2.0, -2.0), (-2.0, 2.0, -2.0)]
         triples = np.array(edge_rows + [(0.0, 0.0, 0.0)] + list(sample_omega_points(rng, 50)))
-        columns = construct_components_from_traces(*triples.T)
+        a_columns, b_columns = construct_components_from_traces(*triples.T)
         for row, (x, y, z) in enumerate(triples):
             a, b = construct_pair_from_traces(x, y, z)
-            assert [c[row] for c in columns] == [a.alpha, a.beta, b.alpha, b.beta]
+            assert [c[row] for c in (*a_columns, *b_columns)] == [*a.quaternion, *b.quaternion]
 
     @pytest.mark.parametrize("bad", [(1.9, -1.9, 1.9), (2.0, 0.5, -0.5), (-2.0, 0.5, 0.5)])
     def test_array_form_raises_like_scalar_wrapper(self, bad):
