@@ -4,10 +4,9 @@ All commands are seeded and deterministic: identical invocations produce
 byte-identical artifacts.  Output is CSV (default for tabular data) or JSON
 (default for pair records); CSV floats carry 17 significant digits so values
 round-trip losslessly; neither format carries a bare NaN or infinity.
-Exit codes: 0 success, 1 usage error (including invalid input such as NaN or
-infinite pair components or coordinates, and an --out path that cannot be
-written),
-2 domain error, 3 numerical error (an eigensolver failure, an eigenvalue
+Exit codes: 0 success; 1 invalid input, with the message of the check that
+rejects it (the library's names its parameter), or an unwritable --out;
+2 domain error; 3 numerical error (an eigensolver failure, an eigenvalue
 outside [-1, 1], or a non-finite value in the artifact).
 """
 
@@ -18,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -42,11 +42,12 @@ _PAIR_COLUMNS = (
 )
 
 
-class _UsageError(Exception):
-    """A violated command precondition; reported with exit status 1."""
-
-
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # values, not flags: argparse's own pattern misses "-1e-05" and "-inf"
+        self._negative_number_matcher = re.compile(r"^-(\d*\.?\d+(e[-+]?\d+)?|inf)$", re.I)
+
     def error(self, message):
         # usage problems exit 1 (argparse defaults to 2, which is reserved
         # for domain errors here)
@@ -91,7 +92,7 @@ def _render(command: str, fmt: str, meta: dict, columns, rows, extra) -> str:
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _load_pair(path: str) -> Pair:
@@ -99,24 +100,22 @@ def _load_pair(path: str) -> Pair:
         with open(path) as handle:
             record = json.load(handle)
     except OSError as exc:
-        raise _UsageError(f"cannot read pair file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"pair file {path!r} is not valid JSON: {exc}") from exc
+        raise ValueError(f"cannot read pair file {path!r}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ValueError(f"pair file {path!r} is not valid JSON: {exc}") from exc
     if isinstance(record, dict) and "pairs" in record:
         pairs = record["pairs"]
         if len(pairs) != 1:
-            raise _UsageError(
+            raise ValueError(
                 f"pair file {path!r} holds {len(pairs)} pairs; expected exactly one"
             )
         record = pairs[0]
     if not isinstance(record, dict) or "type" not in record:
-        raise _UsageError(f"pair file {path!r} does not contain a pair-spec record")
+        raise ValueError(f"pair file {path!r} does not contain a pair-spec record")
     try:
         return pair_from_spec(record)
-    except DomainError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _UsageError(f"invalid pair-spec in {path!r}: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"invalid pair-spec in {path!r}: {exc}") from exc
 
 
 def _pairs_artifact(meta: dict, pairs) -> tuple:
@@ -150,26 +149,19 @@ def _cmd_traces(args) -> tuple:
 
 
 def _cmd_construct(args) -> tuple:
-    try:
-        if args.fricke is not None:
-            x, t = args.fricke
-            pair = trace_geometry.construct_pair_from_fricke(x, t)
-            meta = {"source": "fricke", "x": x, "t": t}
-        else:
-            x, y, z = args.triple
-            pair = trace_geometry.construct_pair_from_traces(x, y, z)
-            meta = {"source": "traces", "x": x, "y": y, "z": z}
-    except DomainError:
-        raise
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    if args.fricke is not None:
+        x, t = args.fricke
+        pair = trace_geometry.construct_pair_from_fricke(x, t)
+        meta = {"source": "fricke", "x": x, "t": t}
+    else:
+        x, y, z = args.triple
+        pair = trace_geometry.construct_pair_from_traces(x, y, z)
+        meta = {"source": "traces", "x": x, "y": y, "z": z}
     spec = pair_to_spec(pair)
     return meta, _PAIR_COLUMNS, [spec["a"] + spec["b"]], lambda: spec
 
 
 def _cmd_phi_iterate(args) -> tuple:
-    _require(-2.0 <= args.t0 <= 2.0, "--t0 must lie in [-2, 2]")
-    _require(args.max_steps >= 1, "--max-steps must be at least 1")
     record = gap_dynamics.iterate_phi_endpoint(args.t0, args.max_steps)
     reached = record.steps_to_negative
     meta = {
@@ -185,8 +177,6 @@ def _cmd_phi_iterate(args) -> tuple:
 
 
 def _cmd_fiber_image(args) -> tuple:
-    _require(-2.0 <= args.t <= 2.0, "--t must lie in [-2, 2]")
-    _require(args.grid_points >= 2, "--grid-points must be at least 2")
     analytic = list(gap_dynamics.fiber_image_interval(args.t))
     numeric = list(gap_dynamics.fiber_image_numeric(args.t, args.grid_points))
     meta = {"t": args.t, "grid_points": args.grid_points}
@@ -196,8 +186,6 @@ def _cmd_fiber_image(args) -> tuple:
 
 
 def _cmd_orbit(args) -> tuple:
-    _require(args.depth >= 0, "--depth must be nonnegative")
-    _require(args.max_points >= 1, "--max-points must be at least 1")
     pair = _load_pair(args.pair)
     orbit = gap_dynamics.wordmap_orbit(pair, args.depth, args.max_points)
     meta = {"depth": args.depth, "max_points": args.max_points, "points": len(orbit)}
@@ -207,7 +195,6 @@ def _cmd_orbit(args) -> tuple:
 
 
 def _cmd_gap_profile(args) -> tuple:
-    _require(args.nmax >= 1, "--nmax must be at least 1")
     pair = _load_pair(args.pair)
     profile = spectral.gap_profile(pair, args.nmax)
     meta = {
@@ -225,10 +212,7 @@ def _cmd_defect(args) -> tuple:
     _require(args.level >= 1, "--level must be at least 1")
     _require(args.trials >= 1, "--trials must be at least 1")
     pair = _load_pair(args.pair)
-    try:
-        word = Word.from_string(args.word)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    word = Word.from_string(args.word)
     rng = np.random.default_rng(args.seed)
     dim = args.level + 1
     vectors = np.empty((dim, args.trials), dtype=complex)
@@ -250,8 +234,6 @@ def _cmd_defect(args) -> tuple:
 
 
 def _cmd_density(args) -> tuple:
-    _require(args.samples >= 1, "--samples must be at least 1")
-    _require(args.bins >= 2, "--bins must be at least 2")
     hist = measure_lab.pushforward_histogram(args.samples, args.bins, args.seed)
     meta = {
         "x_range": "[-2,2]",
@@ -270,16 +252,11 @@ def _cmd_density(args) -> tuple:
 
 
 def _cmd_fiber_sample(args) -> tuple:
-    _require(-2.0 <= args.t <= 2.0, "--t must lie in [-2, 2]")
-    _require(args.count >= 1, "--count must be at least 1")
     pairs = measure_lab.sample_fiber(args.t, args.count, args.seed)
     return _pairs_artifact({"t": args.t, "count": args.count, "seed": args.seed}, pairs)
 
 
 def _cmd_fiber_transport(args) -> tuple:
-    _require(-2.0 <= args.t <= 2.0, "--t must lie in [-2, 2]")
-    _require(args.count >= 1, "--count must be at least 1")
-    _require(args.bins >= 2, "--bins must be at least 2")
     demo = measure_lab.fiber_transport_demo(args.t, args.count, args.seed, args.bins)
     lower, upper = gap_dynamics.fiber_image_interval(args.t)
     meta = {
@@ -436,16 +413,16 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         text = _render(args.command, args.format, *args.handler(args))
-    except _UsageError as exc:
-        print(f"su2gap: error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
-        print(f"su2gap: domain error: {exc}", file=sys.stderr)
-        return 2
     except ConvergenceError as exc:
         level = f" (level {exc.level})" if exc.level is not None else ""
         print(f"su2gap: numerical error{level}: {exc}", file=sys.stderr)
         return 3
+    except DomainError as exc:  # a ValueError, so it comes first
+        print(f"su2gap: domain error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"su2gap: error: {exc}", file=sys.stderr)
+        return 1
     if not args.out:
         sys.stdout.write(text)
         return 0

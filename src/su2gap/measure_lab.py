@@ -120,38 +120,28 @@ def pushforward_histogram(sample_count: int, bins: int, seed: int) -> Histogram2
 def _parabola_segment_distance(x, t):
     """Euclidean distance from points (x, t) to {(u, u^2 - 2) : |u| <= 2}.
 
-    Stationary points of the squared distance solve the depressed cubic
-    u^3 + p u + q = 0 with p = -(3 + 2 t) / 2 and q = -x / 2; the minimum over
-    those roots (clipped to the segment) and the segment endpoints is exact.
+    The arc is symmetric, so x is replaced by |x|.  Stationary points of the
+    squared distance solve the depressed cubic u^3 + p u + q = 0 with
+    p = -(3 + 2 t) / 2 and q = -|x| / 2 <= 0, so by Vieta's formulas every
+    real root but the largest is <= 0.  On [0, inf) the squared distance
+    falls until the largest root and rises after it, and no u < 0 is nearer
+    than -u; the nearest arc point is that root clipped to [0, 2].
     """
-    x = np.asarray(x, dtype=float)
+    x = np.abs(np.asarray(x, dtype=float))
     t = np.asarray(t, dtype=float)
-
-    def gap_sq(u):
-        u = np.clip(u, -2.0, 2.0)
-        return (u - x) ** 2 + (u * u - 2.0 - t) ** 2
-
     p = -(3.0 + 2.0 * t) / 2.0
     q = -x / 2.0
     s = q * q / 4.0 + p**3 / 27.0
     one_root = s >= 0.0
 
-    # single real root (Cardano), valid where s >= 0
+    # Cardano where s >= 0; the trigonometric k = 0 root where s < 0, which forces p < 0
     root_s = np.sqrt(np.maximum(s, 0.0))
     u_card = np.cbrt(-q / 2.0 + root_s) + np.cbrt(-q / 2.0 - root_s)
-    best = gap_sq(np.where(one_root, u_card, 0.0))
-
-    # three real roots (trigonometric form), valid where s < 0, which forces p < 0
     p_safe = np.where(one_root, -1.0, p)
     m = 2.0 * np.sqrt(-p_safe / 3.0)
-    theta = np.arccos(np.clip(3.0 * q / (p_safe * m), -1.0, 1.0)) / 3.0
-    for k in range(3):
-        root = np.where(one_root, 0.0, m * np.cos(theta - 2.0 * np.pi * k / 3.0))
-        best = np.minimum(best, gap_sq(root))
-
-    for end in (-2.0, 2.0):
-        best = np.minimum(best, gap_sq(end))
-    return np.sqrt(best)
+    u_trig = m * np.cos(np.arccos(np.clip(3.0 * q / (p_safe * m), -1.0, 1.0)) / 3.0)
+    u = np.clip(np.where(one_root, u_card, u_trig), 0.0, 2.0)
+    return np.sqrt((u - x) ** 2 + (u * u - 2.0 - t) ** 2)
 
 
 def boundary_distance(x, t):

@@ -57,7 +57,10 @@ def _real_tridiagonal_exp(alpha: complex, beta: complex, n: int):
     tri[k, k] = (n - 2.0 * k) * (alpha.imag * scale)
     # eigh reads only the lower triangle
     tri[k[1:], k[:-1]] = (scale * abs(beta)) * np.sqrt((n - k[:-1]) * (k[:-1] + 1.0))
-    w, v = np.linalg.eigh(tri)
+    try:
+        w, v = np.linalg.eigh(tri)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed: {exc}", level=n) from exc
     return sign, phase, w, v
 
 

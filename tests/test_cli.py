@@ -86,6 +86,15 @@ class TestPhiIterate:
         assert code == 0
         assert "# steps_to_negative=not-reached" in out.read_text().splitlines()
 
+    def test_negative_start_in_exponent_form(self, tmp_path):
+        code, out = run_to_file(tmp_path, "o.csv", "phi-iterate", "--t0", "-1e-05")
+        assert code == 0
+        assert "# t0=-1.0000000000000001e-05" in out.read_text().splitlines()
+
+    @pytest.mark.parametrize("value", ["-1e-05", "-2.5E-3", "-.5", "-inf"])
+    def test_negative_literals_are_values(self, value):
+        assert build_parser().parse_args(["phi-iterate", "--t0", value]).t0 == float(value)
+
 
 class TestGapProfile:
     def test_identity_pair_min_gap_zero(self, tmp_path):
@@ -212,7 +221,88 @@ class TestOtherCommands:
         assert code == 0
 
 
+# Every range rule a command enforces, with the text stderr must show: the
+# first fifteen are the library's (the message names the library parameter),
+# the last three the handlers' own.  "{pair}" stands for a valid pair file.
+INVALID_INPUT = [
+    pytest.param(["phi-iterate", "--t0", "3.5"], "t0 = 3.5 must lie in [-2, 2]", id="phi-t0"),
+    pytest.param(["phi-iterate", "--t0", "nan"], "t0 = nan must lie in [-2, 2]", id="phi-t0-nan"),
+    pytest.param(
+        ["phi-iterate", "--t0", "1.9", "--max-steps", "0"],
+        "max_steps must be at least 1",
+        id="phi-max-steps",
+    ),
+    pytest.param(["fiber-image", "--t", "2.5"], "t = 2.5 must lie in [-2, 2]", id="image-t"),
+    pytest.param(
+        ["fiber-image", "--t", "0.5", "--grid-points", "1"],
+        "grid_points must be at least 2",
+        id="image-grid-points",
+    ),
+    pytest.param(
+        ["orbit", "--pair", "{pair}", "--depth", "-1"], "depth must be nonnegative", id="orbit-depth"
+    ),
+    pytest.param(
+        ["orbit", "--pair", "{pair}", "--max-points", "0"],
+        "max_points must be at least 1",
+        id="orbit-max-points",
+    ),
+    pytest.param(
+        ["gap-profile", "--pair", "{pair}", "--nmax", "0"], "n_max must be at least 1", id="gap-nmax"
+    ),
+    pytest.param(["density", "--samples", "0"], "sample_count must be at least 1", id="density-samples"),
+    pytest.param(["density", "--bins", "1"], "bins must be at least 2", id="density-bins"),
+    pytest.param(["fiber-sample", "--t", "-3"], "t = -3.0 must lie in [-2, 2]", id="sample-t"),
+    pytest.param(
+        ["fiber-sample", "--t", "0.5", "--count", "0"], "count must be at least 1", id="sample-count"
+    ),
+    pytest.param(["fiber-transport", "--t", "-inf"], "t = -inf must lie in [-2, 2]", id="transport-t"),
+    pytest.param(
+        ["fiber-transport", "--t", "0.5", "--count", "0"],
+        "count must be at least 1",
+        id="transport-count",
+    ),
+    pytest.param(
+        ["fiber-transport", "--t", "0.5", "--bins", "1"], "bins must be at least 2", id="transport-bins"
+    ),
+    pytest.param(["sample", "--count", "0"], "--count must be at least 1", id="sample-pairs-count"),
+    pytest.param(
+        ["defect", "--pair", "{pair}", "--word", "ab", "--level", "0"],
+        "--level must be at least 1",
+        id="defect-level",
+    ),
+    pytest.param(
+        ["defect", "--pair", "{pair}", "--word", "ab", "--trials", "0"],
+        "--trials must be at least 1",
+        id="defect-trials",
+    ),
+]
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("argv, message", INVALID_INPUT)
+    def test_invalid_input_exit_one(self, tmp_path, capsys, argv, message):
+        pair_file = tmp_path / "pair.json"
+        pair_file.write_text(json.dumps({"type": "fricke", "x": 0.3, "t": 0.7}))
+        out = tmp_path / "out"
+        argv = [str(pair_file) if a == "{pair}" else a for a in argv]
+        assert run_cli(*argv, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"su2gap: error: {message}\n"
+        assert not out.exists()
+
+    def test_eigensolver_failure_in_defect_exit_three(self, tmp_path, monkeypatch, capsys):
+        pair_file = tmp_path / "pair.json"
+        pair_file.write_text(json.dumps({"type": "fricke", "x": 0.3, "t": 0.7}))
+
+        def fail(matrix):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        out = tmp_path / "defect.csv"
+        argv = ["defect", "--pair", str(pair_file), "--word", "abAB", "--level", "6"]
+        assert run_cli(*argv, "--out", str(out)) == 3
+        assert "numerical error (level 6): eigensolver failed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_bad_precondition(self, tmp_path, capsys):
         assert run_cli("phi-iterate", "--t0", "3.5") == 1
         assert "must lie in [-2, 2]" in capsys.readouterr().err
@@ -269,7 +359,7 @@ class TestExitCodes:
             assert run_cli(*argv) == 1, record
             assert not out.exists()
 
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("coords", [["--fricke", "{}", "0"], ["--triple", "0", "0", "{}"]])
     def test_non_finite_construct_exit_one(self, tmp_path, capsys, bad, coords):
         out = tmp_path / "out.json"
@@ -304,6 +394,12 @@ class TestExitCodes:
 
     def test_unreadable_pair_file(self, tmp_path):
         assert run_cli("traces", "--pair", str(tmp_path / "missing.json")) == 1
+
+    def test_pair_file_not_utf8(self, tmp_path, capsys):
+        pair_file = tmp_path / "pair.json"
+        pair_file.write_bytes(b'\xff\xfe{"type": "fricke"}')
+        assert run_cli("traces", "--pair", str(pair_file)) == 1
+        assert "is not valid JSON" in capsys.readouterr().err
 
     def test_invalid_word(self, tmp_path):
         pair_file = tmp_path / "pair.json"

@@ -85,17 +85,46 @@ class TestPushforwardHistogram:
             pushforward_histogram(10, 1, seed=0)
 
 
+def arc_distance_brute_force(x: float, t: float) -> float:
+    """Oracle: dense minimization over the parabola segment |u| <= 2, refined
+    once around the best grid point (a point on the arc, where the distance
+    has a kink, is otherwise off by the grid step)."""
+    lo, hi = -2.0, 2.0
+    for _ in range(2):
+        us = np.linspace(lo, hi, 400001)
+        gap_sq = (us - x) ** 2 + (us * us - 2.0 - t) ** 2
+        best = us[np.argmin(gap_sq)]
+        lo, hi = max(best - 1e-5, -2.0), min(best + 1e-5, 2.0)
+    return float(np.sqrt(gap_sq.min()))
+
+
 class TestBoundaryDistance:
     def test_parabola_distance_against_brute_force(self, rng):
-        # oracle: dense minimization over the parabola segment
-        us = np.linspace(-2.0, 2.0, 400001)
-        curve = np.stack([us, us * us - 2.0], axis=1)
         for _ in range(25):
             x = rng.uniform(-2.0, 2.0)
             t = rng.uniform(-2.0, 2.0)
-            brute = np.sqrt(((curve - [x, t]) ** 2).sum(axis=1)).min()
             fast = float(_parabola_segment_distance(x, t))
-            assert abs(fast - brute) < 1e-8
+            assert abs(fast - arc_distance_brute_force(x, t)) < 1e-8
+
+    @pytest.mark.parametrize("region", ["outside-square", "evolute"])
+    def test_parabola_distance_off_square_and_on_evolute(self, rng, region):
+        if region == "outside-square":
+            x, t = rng.uniform(-6.0, 6.0, (2, 40))
+            keep = np.maximum(np.abs(x), np.abs(t)) > 2.0
+            x, t = x[keep], t[keep]
+        else:
+            # the evolute of the arc, where the stationary cubic has a double
+            # root: s = x^2 / 16 - ((3 + 2t) / 6)^3 = 0
+            t = np.linspace(-1.5, 3.0, 19)
+            x = 4.0 * ((3.0 + 2.0 * t) / 6.0) ** 1.5 * np.where(np.arange(19) % 2, 1.0, -1.0)
+        assert len(x) > 10
+        for xi, ti in zip(x, t):
+            fast = float(_parabola_segment_distance(xi, ti))
+            assert abs(fast - arc_distance_brute_force(xi, ti)) < 1e-8, (xi, ti)
+
+    def test_mirror_symmetric_to_the_bit(self, rng):
+        x, t = rng.uniform(-3.0, 3.0, (2, 100_000))
+        assert np.array_equal(_parabola_segment_distance(x, t), _parabola_segment_distance(-x, t))
 
     def test_center_point_value(self):
         # analytic: nearest parabola point to (0, 0) solves u^2 = 3/2
