@@ -1,9 +1,10 @@
 """Command-line interface: every operation behind one executable.
 
-All commands are seeded and deterministic: identical invocations produce
-byte-identical artifacts.  Output is CSV (default for tabular data) or JSON
-(default for pair records); CSV floats carry 17 significant digits so values
-round-trip losslessly; neither format carries a bare NaN or infinity.
+All commands are seeded and deterministic: identical invocations on the same
+numpy/BLAS build and BLAS thread count produce byte-identical artifacts.
+Output is CSV (default for tabular data) or JSON (default for pair records);
+CSV floats carry 17 significant digits so values round-trip losslessly;
+neither format carries a bare NaN or infinity.
 Exit codes: 0 success; 1 invalid input, with the message of the check that
 rejects it (the library's names its parameter), or an unwritable --out;
 2 domain error; 3 numerical error (an eigensolver failure, an eigenvalue
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import gap_dynamics, measure_lab, spectral, trace_geometry
 from .errors import ConvergenceError, DomainError
-from .su2_core import Pair, Word, haar_pair, pair_to_spec
+from .su2_core import Pair, SU2Element, Word, haar_quaternions, pair_to_spec
 from .trace_geometry import pair_from_spec
 
 SCHEMA_VERSION = 1
@@ -136,7 +137,8 @@ def _pairs_artifact(meta: dict, pairs) -> tuple:
 def _cmd_sample(args) -> tuple:
     _require(args.count >= 1, "--count must be at least 1")
     rng = np.random.default_rng(args.seed)
-    pairs = [haar_pair(rng) for _ in range(args.count)]
+    rows = haar_quaternions(rng, 2 * args.count).view(complex).reshape(args.count, 2, 2)
+    pairs = [Pair(SU2Element(*a), SU2Element(*b)) for a, b in rows.tolist()]
     return _pairs_artifact({"seed": args.seed, "count": args.count}, pairs)
 
 

@@ -54,8 +54,6 @@ class Histogram2D:
     bins_per_axis: int
     total: int
     seed: int
-    x_range: tuple[float, float] = (-2.0, 2.0)
-    t_range: tuple[float, float] = (-2.0, 2.0)
 
     def __post_init__(self):
         if int(self.counts.sum()) != self.total:
@@ -63,11 +61,11 @@ class Histogram2D:
 
     @property
     def x_edges(self) -> np.ndarray:
-        return np.linspace(self.x_range[0], self.x_range[1], self.bins_per_axis + 1)
+        return np.linspace(-2.0, 2.0, self.bins_per_axis + 1)
 
     @property
     def t_edges(self) -> np.ndarray:
-        return np.linspace(self.t_range[0], self.t_range[1], self.bins_per_axis + 1)
+        return np.linspace(-2.0, 2.0, self.bins_per_axis + 1)
 
 
 def _cell_counts(xs, ts, bins: int) -> np.ndarray:

@@ -2,20 +2,21 @@
 
 The regular representation of a two-generator subgroup splits into
 irreducible blocks, one of each dimension n + 1.  This module builds those
-blocks, forms the Hermitian averaging operator of a pair on each block, and
-reports per-level spectral gaps and word-defect bounds,
+blocks and reports word-defect bounds and the per-level spectral gaps of the
+Hermitian averaging operator of a pair,
 
     gap_n = 1 - lambda_max( (pi_n(a) + pi_n(a)* + pi_n(b) + pi_n(b)*) / 4 ).
 
 A block is the exponential of the tridiagonal Lie-algebra image of log g,
 which a diagonal phase makes real symmetric, diagonalized exactly (Feng,
 Wang, Yang, Jin, Phys. Rev. E 92, 043307, 2015).  The gap depends only on
-the trace triple (tr a, tr b, tr ab), so it is computed on a canonical
-conjugate of the pair, where the averaging operator is real: level_gap forms
-one level from one eigh, and gap_profile sweeps levels 1..n_max carrying the
-real Wigner block of a rotation by Risbo's Clebsch-Gordan step (J. Geodesy
-70, 1996).  The involution inverting both generators halves every even
-level into two real blocks.  All eigenvalues come from LAPACK through numpy.
+the trace triple (tr a, tr b, tr ab), so gap_profile computes it on a
+canonical conjugate of the pair, where the averaging operator is real, and
+sweeps levels 1..n_max carrying the real Wigner block of a rotation by
+Risbo's Clebsch-Gordan step (J. Geodesy 70, 1996); when both canonical
+generators are diagonal, the operator's diagonal closed form replaces the
+sweep.  The involution inverting both generators halves every even level
+into two real blocks.  All eigenvalues come from LAPACK through numpy.
 
 A truncated profile is evidence, not a certificate: the true spectral gap is
 an infimum over all levels and no finite sweep can certify it.  Every summary
@@ -91,31 +92,12 @@ def irrep_matrix(g: SU2Element, n: int) -> np.ndarray:
     return block * (sign * np.outer(phase, phase.conj()))
 
 
-def averaging_operator(pair: Pair, n: int) -> np.ndarray:
-    """Hermitian averaging operator of the pair on the level-n block.
-
-    (pi(a) + pi(a)* + pi(b) + pi(b)*) / 4, with spectrum in [-1, 1].
-    """
-    if n < 1:
-        raise ValueError("averaging operator requires level n >= 1")
-    pa = irrep_matrix(pair.a, n)
-    pb = irrep_matrix(pair.b, n)
-    return (pa + pa.conj().T + pb + pb.conj().T) / 4.0
-
-
-def _eigenvalues(matrix: np.ndarray, n: int) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian level-n matrix."""
-    try:
-        return np.linalg.eigvalsh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver failed: {exc}", level=n) from exc
-
-
 def _frame(pair: Pair) -> tuple[float, complex, float]:
     """(theta_a, alpha, r) of the canonical conjugate a' = e^{i theta_a}
     (diagonal), b' = (alpha, i r) of the pair: with v = (Im alpha, Re beta,
     Im beta) and e = v_a / |v_a| (any unit vector if v_a = 0), theta_a =
-    atan2(|v_a|, Re alpha_a), alpha = Re alpha_b + i e.v_b, r = |e x v_b|."""
+    atan2(|v_a|, Re alpha_a), alpha = Re alpha_b + i e.v_b, r = |e x v_b|;
+    r == 0.0 makes b' diagonal as well."""
     a, b = pair
     va = (a.alpha.imag, a.beta.real, a.beta.imag)
     vb = (b.alpha.imag, b.beta.real, b.beta.imag)
@@ -144,25 +126,13 @@ def _gap(operator: np.ndarray, n: int) -> float:
         inner[:m, :m] += mirror
         inner[m, :m] *= math.sqrt(2.0)  # eigvalsh reads the lower triangle
         blocks = [inner, operator[:m, :m] - mirror]
-    top = float(np.max([_eigenvalues(block, n)[-1] for block in blocks]))
+    try:
+        top = float(np.max([np.linalg.eigvalsh(block)[-1] for block in blocks]))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed: {exc}", level=n) from exc
     if not top <= 1.0 + 1e-9:
         raise ConvergenceError(f"eigenvalue {top!r} lies outside [-1, 1]", level=n)
     return max(0.0, 1.0 - top)
-
-
-def level_gap(pair: Pair, n: int) -> float:
-    """1 - lambda_max of the level-n averaging operator, from one eigh: on the
-    frame of _frame, pi(a') + pi(a')* = 2 diag(cos((n - 2k) theta_a)), and
-    pi(b') + pi(b')* = 2 sign V diag(cos w) V^T up to the diagonal phase of
-    _real_tridiagonal_exp, which commutes with pi(a')."""
-    if n < 1:
-        raise ValueError("level_gap requires level n >= 1")
-    theta_a, alpha, r = _frame(pair)
-    sign, _, w, v = _real_tridiagonal_exp(alpha, complex(0.0, r), n)
-    operator = (v * (0.5 * sign * np.cos(w))) @ v.T
-    k = np.arange(n + 1)
-    operator[k, k] += 0.5 * np.cos((n - 2.0 * k) * theta_a)
-    return _gap(operator, n)
 
 
 def _rotation_blocks(c: float, s: float, n_max: int):
@@ -228,7 +198,10 @@ def gap_profile(pair: Pair, n_max: int) -> GapProfile:
     phi = arg alpha.  So, after a diagonal change of basis, the level-n
     operator is diag(cos((n - 2k) theta_a)) / 2 + cos(u_j + v_k) d_n[j, k] / 2
     with d_n from _rotation_blocks, u_j = phi (n/2 - j) - j pi/2 and
-    v_k = phi (n/2 - k) + k pi/2: O(n^2) work per level besides _gap.
+    v_k = phi (n/2 - k) + k pi/2: O(n^2) work per level besides _gap.  When
+    r == 0.0, b' = diag(alpha, conj alpha) and the operator is the diagonal
+    diag(cos((n - 2k) theta_a) + cos((n - 2k) phi)) / 2 itself: its zero
+    weights give exact zeros, where rounding in d_n would leave about 1e-16.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -236,16 +209,23 @@ def gap_profile(pair: Pair, n_max: int) -> GapProfile:
     phi, k = cmath.phase(alpha), np.arange(n_max + 1)
     left = np.exp((-1j * phi) * k) * np.array([1.0, -1j, -1.0, 1j])[k % 4]  # e^{i(u_k - phi n/2)}
     right = left * (-1.0) ** k  # e^{i(v_k - phi n/2)}
+    sweep = _rotation_blocks(abs(alpha), r, n_max)  # runs only if r != 0.0
     levels = []
-    for n, (block, spare) in enumerate(_rotation_blocks(abs(alpha), r, n_max), start=1):
+    for n in range(1, n_max + 1):
         rows = n + 1 if n % 2 else n // 2 + 1  # all _gap reads
-        row_phase = (0.5 * cmath.exp(1j * phi * n)) * left[:rows, None]  # * right: e^{i(u+v)}/2
-        op = np.multiply(block[:rows], row_phase.real, out=spare[0, :rows, : n + 1])
-        tmp = np.multiply(block[:rows], row_phase.imag, out=spare[1, :rows, : n + 1])
-        op *= right[: n + 1].real
-        tmp *= right[: n + 1].imag
-        op -= tmp
-        op[k[:rows], k[:rows]] += 0.5 * np.cos((n - 2.0 * k[:rows]) * theta_a)
+        kr = k[:rows]
+        if r == 0.0:
+            op = np.zeros((rows, n + 1))
+            op[kr, kr] = 0.5 * np.cos((n - 2.0 * kr) * phi)
+        else:
+            block, spare = next(sweep)
+            row_phase = (0.5 * cmath.exp(1j * phi * n)) * left[:rows, None]  # * right: e^{i(u+v)}/2
+            op = np.multiply(block[:rows], row_phase.real, out=spare[0, :rows, : n + 1])
+            tmp = np.multiply(block[:rows], row_phase.imag, out=spare[1, :rows, : n + 1])
+            op *= right[: n + 1].real
+            tmp *= right[: n + 1].imag
+            op -= tmp
+        op[kr, kr] += 0.5 * np.cos((n - 2.0 * kr) * theta_a)
         levels.append((n, _gap(op, n)))
     argmin = min(levels, key=lambda item: item[1])
     return GapProfile(levels=tuple(levels), min_gap=argmin[1], argmin_level=argmin[0])

@@ -10,6 +10,7 @@ import su2gap.spectral
 from su2gap.cli import build_parser, main
 from su2gap.errors import ConvergenceError
 from su2gap.spectral import GapProfile
+from su2gap.su2_core import haar_pair, pair_to_spec
 
 
 def run_cli(*argv) -> int:
@@ -211,6 +212,17 @@ class TestOtherCommands:
         total = sum(int(row.split(",")[2]) for row in data)
         assert total == 2000
 
+    @pytest.mark.parametrize("seed", [0, 7, 19])
+    def test_sample_matches_haar_pair_loop(self, tmp_path, seed):
+        # one draw of 2 * count quaternions gives the pairs of count haar_pair calls
+        rng = np.random.default_rng(seed)
+        expected = [pair_to_spec(haar_pair(rng)) for _ in range(100)]
+        code, out = run_to_file(
+            tmp_path, "pairs.json", "sample", "--count", "100", "--seed", str(seed)
+        )
+        assert code == 0
+        assert json.loads(out.read_text())["pairs"] == expected
+
     def test_sample_feeds_gap_profile(self, tmp_path):
         _, pair_file = run_to_file(
             tmp_path, "pair.json", "sample", "--count", "1", "--seed", "9"
@@ -335,9 +347,7 @@ class TestExitCodes:
     def test_impossible_eigenvalue_exit_three(self, tmp_path, monkeypatch, capsys):
         pair_file = tmp_path / "pair.json"
         pair_file.write_text(json.dumps({"type": "fricke", "x": 0.0, "t": 2.0}))
-        monkeypatch.setattr(
-            su2gap.spectral, "_eigenvalues", lambda matrix, n: np.full(len(matrix), 1.5)
-        )
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda matrix: np.full(len(matrix), 1.5))
         assert run_cli("gap-profile", "--pair", str(pair_file), "--nmax", "5") == 3
         assert "(level 1)" in capsys.readouterr().err
 

@@ -1,6 +1,8 @@
-"""Irreducible blocks, averaging operators, per-level gaps, and defect
-functionals, checked against eigensolver and analytic oracles."""
+"""Irreducible blocks, per-level gaps, and defect functionals, checked
+against eigensolver and analytic oracles."""
 
+import cmath
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +17,6 @@ from su2gap import (
     SU2Element,
     Word,
     apply_move,
-    averaging_operator,
     conjugate,
     construct_pair_from_fricke,
     gap_profile,
@@ -23,7 +24,6 @@ from su2gap import (
     haar_sample,
     inverse,
     irrep_matrix,
-    level_gap,
     trace,
     word_defect_check,
 )
@@ -165,6 +165,49 @@ class TestIrrepMatrix:
             assert radius <= bound + 1e-9, (n, radius)
 
 
+def averaging_operator(pair: Pair, n: int) -> np.ndarray:
+    """Hermitian averaging operator (pi(a) + pi(a)* + pi(b) + pi(b)*) / 4 of
+    the pair on the level-n block, built densely from the blocks of the pair
+    as given: the oracle for every per-level gap.  Spectrum in [-1, 1]."""
+    if n < 1:
+        raise ValueError("averaging operator requires level n >= 1")
+    pa = irrep_matrix(pair.a, n)
+    pb = irrep_matrix(pair.b, n)
+    return (pa + pa.conj().T + pb + pb.conj().T) / 4.0
+
+
+def level_gap_reference(pair: Pair, n: int) -> float:
+    """1 - lambda_max of the level-n averaging operator from one eigh and one
+    full eigvalsh, without the sweep or the fold: on the frame of
+    spectral._frame, pi(a') + pi(a')* = 2 diag(cos((n - 2k) theta_a)), and
+    pi(b') + pi(b')* = 2 sign V diag(cos w) V^T up to the diagonal phase of
+    spectral._real_tridiagonal_exp, which commutes with pi(a')."""
+    theta_a, alpha, r = spectral._frame(pair)
+    sign, _, w, v = spectral._real_tridiagonal_exp(alpha, complex(0.0, r), n)
+    operator = (v * (0.5 * sign * np.cos(w))) @ v.T
+    k = np.arange(n + 1)
+    operator[k, k] += 0.5 * np.cos((n - 2.0 * k) * theta_a)
+    return 1.0 - float(np.linalg.eigvalsh(operator)[-1])
+
+
+def profile_gaps(pair: Pair, n_max: int) -> dict[int, float]:
+    """{n: gap} of gap_profile(pair, n_max)."""
+    return dict(gap_profile(pair, n_max).levels)
+
+
+def patch_solves_from_level(monkeypatch, level: int, replacement) -> None:
+    """Route every eigvalsh of a profile to `replacement` from the first solve
+    of `level` on; each odd level below takes one solve, each even level two
+    (the fold's half blocks)."""
+    solve, calls = np.linalg.eigvalsh, itertools.count(1)
+    before = sum(1 if n % 2 else 2 for n in range(1, level))
+
+    def patched(matrix):
+        return solve(matrix) if next(calls) <= before else replacement(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", patched)
+
+
 class TestAveragingOperator:
     def test_identity_pair_gives_identity(self):
         for n in (1, 2, 5):
@@ -199,7 +242,8 @@ def commuting_gap_oracle(angle_a: float, angle_b: float, n: int) -> float:
 
 def edge_pairs(rng) -> list[Pair]:
     """Haar pairs and the frame's edge cases: +-I, parallel and antiparallel
-    axes, Re alpha < 0 on either generator, and |v_a| ~ 1e-9."""
+    axes, Re alpha < 0 on either generator, |v_a| ~ 1e-9, and a diagonal
+    pair (r == 0.0)."""
     minus = SU2Element(-1.0 + 0.0j, 0.0j)
     g, h = haar_sample(rng), haar_sample(rng)
     axis = SU2Element.from_quaternion(0.3, 0.5, -0.4, 0.7)
@@ -213,23 +257,31 @@ def edge_pairs(rng) -> list[Pair]:
         Pair(g, SU2Element(-h.alpha, -h.beta)),
         Pair(SU2Element.from_quaternion(1.0, 1e-9, -2e-9, 3e-9), h),  # |v_a| ~ 1e-9
         Pair(SU2Element.from_quaternion(-1.0, 1e-9, 0.0, 0.0), h),
+        Pair(SU2Element(cmath.exp(0.7j), 0.0), SU2Element(cmath.exp(-2.3j), 0.0)),
     ]
     return pairs
 
 
+@pytest.fixture(scope="module")
+def edge_profiles() -> list[tuple[Pair, dict[int, float]]]:
+    """(pair, gaps of levels 1..201) for edge_pairs, drawn from the rng
+    fixture's seed, and the identity pair: one sweep per pair per module."""
+    pairs = edge_pairs(np.random.default_rng(20260808)) + [Pair(IDENTITY, IDENTITY)]
+    return [(pair, profile_gaps(pair, 201)) for pair in pairs]
+
+
 class TestLevelGap:
     def test_identity_pair(self):
-        for n in range(1, 11):
-            assert level_gap(Pair(IDENTITY, IDENTITY), n) <= 1e-12
+        for _, gap in gap_profile(Pair(IDENTITY, IDENTITY), 10).levels:
+            assert gap <= 1e-12
 
     def test_minus_identity_pair_level_two(self):
         minus = SU2Element(-1.0 + 0.0j, 0.0j)
         np.testing.assert_allclose(irrep_matrix(minus, 2), np.eye(3), atol=1e-15)
-        assert level_gap(Pair(minus, minus), 2) <= 1e-12
+        assert profile_gaps(Pair(minus, minus), 2)[2] <= 1e-12
 
     def test_commuting_pair_matches_analytic_oracle(self, commuting_pair):
-        for n in range(1, 21):
-            got = level_gap(commuting_pair, n)
+        for n, got in gap_profile(commuting_pair, 20).levels:
             expected = commuting_gap_oracle(np.pi / 5, np.sqrt(2), n)
             assert abs(got - expected) < 1e-9
 
@@ -242,45 +294,51 @@ class TestLevelGap:
     def test_gap_against_eigensolver_on_random_pairs(self, rng):
         for _ in range(50):
             pair = haar_pair(rng)
+            gaps = profile_gaps(pair, 9)
             for n in (1, 4, 9):
                 oracle = 1.0 - np.linalg.eigvalsh(averaging_operator(pair, n))[-1]
-                assert abs(level_gap(pair, n) - oracle) < 1e-9
+                assert abs(gaps[n] - oracle) < 1e-9
 
     def test_conjugation_invariance(self, rng):
-        for _ in range(30):
+        # every level through 8 on each pair, and through 150 on every third
+        for i in range(30):
             pair = haar_pair(rng)
             k = haar_sample(rng)
             moved = Pair(conjugate(pair.a, k), conjugate(pair.b, k))
-            for n in (1, 3, 8, 150):
-                assert abs(level_gap(pair, n) - level_gap(moved, n)) < 1e-9
+            n_max = 150 if i % 3 == 0 else 8
+            gaps, moved_gaps = profile_gaps(pair, n_max), profile_gaps(moved, n_max)
+            for n, gap in gaps.items():
+                assert abs(gap - moved_gaps[n]) < 1e-9
 
     @pytest.mark.parametrize("n", [60, 61, 62, 63, 120, 200, 201])
-    def test_canonical_frame_against_averaging_operator(self, rng, n):
-        # level_gap works on a conjugate of the pair; averaging_operator builds
-        # the blocks of the pair as given; n mod 4 covers every fold branch
-        for pair in edge_pairs(rng):
+    def test_canonical_frame_against_averaging_operator(self, edge_profiles, n):
+        # gap_profile works on a conjugate of the pair; averaging_operator
+        # builds the blocks of the pair as given; n mod 4 covers every fold
+        # branch, and the diagonal pair and those with b = +-I take the
+        # diagonal branch
+        for pair, gaps in edge_profiles:
             oracle = 1.0 - np.linalg.eigvalsh(averaging_operator(pair, n))[-1]
-            assert abs(level_gap(pair, n) - oracle) < 1e-9
+            assert abs(gaps[n] - oracle) < 1e-9
 
     def test_range(self, rng):
         for _ in range(30):
-            gap = level_gap(haar_pair(rng), 5)
+            gap = profile_gaps(haar_pair(rng), 5)[5]
             assert 0.0 <= gap <= 2.0
 
     def test_impossible_eigenvalue_raises(self, lps_pair, monkeypatch):
         # the spectrum of a 1.5 I averaging operator, which no unitary blocks give
-        monkeypatch.setattr(spectral, "_eigenvalues", lambda matrix, n: np.full(len(matrix), 1.5))
+        patch_solves_from_level(monkeypatch, 4, lambda matrix: np.full(len(matrix), 1.5))
         with pytest.raises(ConvergenceError) as info:
-            level_gap(lps_pair, 4)
+            gap_profile(lps_pair, 6)
         assert info.value.level == 4
 
     def test_eigensolver_failure_raises_with_level(self, lps_pair, monkeypatch):
         def fail(matrix):
             raise np.linalg.LinAlgError("no convergence")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        patch_solves_from_level(monkeypatch, 3, fail)
         with pytest.raises(ConvergenceError) as info:
-            level_gap(lps_pair, 3)
+            gap_profile(lps_pair, 6)
         assert info.value.level == 3
 
 
@@ -308,9 +366,10 @@ class TestGapProfile:
         # level gap vanishes there
         diag2 = np.diag(irrep_matrix(pair.a, 2))
         assert any(abs(entry - 1.0) < 1e-15 for entry in diag2)
-        assert level_gap(pair, 2) <= 1e-12
-        assert level_gap(pair, 4) <= 1e-12
         profile = gap_profile(pair, 20)
+        gaps = dict(profile.levels)
+        assert gaps[2] <= 1e-12
+        assert gaps[4] <= 1e-12
         assert profile.min_gap <= 1e-12
 
     def test_finite_subgroup_hits_zero_within_exponent(self):
@@ -323,13 +382,23 @@ class TestGapProfile:
         with pytest.raises(ValueError):
             gap_profile(lps_pair, 0)
 
+    def test_diagonal_pairs_give_exact_zeros(self, rng):
+        # r == 0.0 takes the diagonal closed form, where every even level fixes
+        # the zero-weight vector exactly, for a diagonal pair and each move
+        for angles in rng.uniform(-np.pi, np.pi, size=(20, 2)):
+            pair = Pair(*(SU2Element(cmath.exp(1j * angle), 0.0) for angle in angles))
+            for moved in [pair] + [apply_move(pair, move) for move in Move]:
+                assert spectral._frame(moved)[2] == 0.0
+                for n, gap in gap_profile(moved, 60).levels:
+                    if n % 2 == 0:
+                        assert gap == 0.0, (moved, n)
+
 
 class TestSweepAgainstPoint:
-    def test_profile_rows_match_level_gap(self, rng):
-        pairs = edge_pairs(rng) + [Pair(IDENTITY, IDENTITY)]
-        for pair in pairs:
-            for n, gap in gap_profile(pair, 201).levels:
-                assert abs(gap - level_gap(pair, n)) <= 1e-12, (pair, n)
+    def test_profile_rows_match_level_gap(self, edge_profiles):
+        for pair, gaps in edge_profiles:
+            for n, gap in gaps.items():
+                assert abs(gap - level_gap_reference(pair, n)) <= 1e-12, (pair, n)
 
     def test_rotation_blocks(self, rng):
         pair = haar_pair(rng)
@@ -544,17 +613,17 @@ class TestMinDefect:
         pairs = [lps_pair, commuting_pair] + [haar_pair(rng) for _ in range(5)]
         for pair in pairs:
             lowest = np.linalg.eigvalsh(defect_matrix_reference(pair, n))[0]
-            assert abs(4.0 * level_gap(pair, n) - lowest) <= 1e-12
+            assert abs(4.0 * profile_gaps(pair, n)[n] - lowest) <= 1e-12
 
     def test_identity_pair(self):
-        assert level_gap(Pair(IDENTITY, IDENTITY), 3) == 0.0
+        assert profile_gaps(Pair(IDENTITY, IDENTITY), 3)[3] == 0.0
 
     def test_sandwich_against_direct_minimization(self, rng):
         for _ in range(100):
             pair = haar_pair(rng)
             n = int(rng.integers(1, 11))
-            # sqrt(lambda_min(M)) = 2 sqrt(level_gap) bounds the summed displacement
-            lower = 2.0 * math.sqrt(level_gap(pair, n))
+            # sqrt(lambda_min(M)) = 2 sqrt(gap_n) bounds the summed displacement
+            lower = 2.0 * math.sqrt(profile_gaps(pair, n)[n])
             direct = min_sum_displacement_oracle(pair, n, rng)
             assert lower <= direct + 1e-9
             assert direct <= math.sqrt(2.0) * lower + 1e-9
@@ -567,11 +636,11 @@ class TestMinDefect:
                 SU2Element(np.exp(1j * angle), 0.0),
             )
             # a combined displacement of at most 1e-10
-            assert 4.0 * level_gap(pair, k) <= 1e-20
+            assert 4.0 * profile_gaps(pair, k)[k] <= 1e-20
 
     def test_zero_defect_persists_under_moves(self, commuting_pair):
-        for n in (2, 4, 6):
-            assert 4.0 * level_gap(commuting_pair, n) <= 1e-20
-            for move in Move:
-                moved = apply_move(commuting_pair, move)
-                assert 4.0 * level_gap(moved, n) <= 1e-20
+        moves = [commuting_pair] + [apply_move(commuting_pair, move) for move in Move]
+        for pair in moves:
+            gaps = profile_gaps(pair, 6)
+            for n in (2, 4, 6):
+                assert 4.0 * gaps[n] <= 1e-20
