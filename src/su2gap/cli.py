@@ -25,7 +25,7 @@ import numpy as np
 
 from . import gap_dynamics, measure_lab, spectral, trace_geometry
 from .errors import ConvergenceError, DomainError
-from .su2_core import Pair, SU2Element, Word, haar_quaternions, pair_to_spec
+from .su2_core import Pair, Word, haar_pair, pair_to_spec
 from .trace_geometry import pair_from_spec
 
 SCHEMA_VERSION = 1
@@ -137,8 +137,7 @@ def _pairs_artifact(meta: dict, pairs) -> tuple:
 def _cmd_sample(args) -> tuple:
     _require(args.count >= 1, "--count must be at least 1")
     rng = np.random.default_rng(args.seed)
-    rows = haar_quaternions(rng, 2 * args.count).view(complex).reshape(args.count, 2, 2)
-    pairs = [Pair(SU2Element(*a), SU2Element(*b)) for a, b in rows.tolist()]
+    pairs = [haar_pair(rng) for _ in range(args.count)]
     return _pairs_artifact({"seed": args.seed, "count": args.count}, pairs)
 
 

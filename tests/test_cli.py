@@ -10,7 +10,6 @@ import su2gap.spectral
 from su2gap.cli import build_parser, main
 from su2gap.errors import ConvergenceError
 from su2gap.spectral import GapProfile
-from su2gap.su2_core import haar_pair, pair_to_spec
 
 
 def run_cli(*argv) -> int:
@@ -211,17 +210,6 @@ class TestOtherCommands:
         assert len(data) == 25
         total = sum(int(row.split(",")[2]) for row in data)
         assert total == 2000
-
-    @pytest.mark.parametrize("seed", [0, 7, 19])
-    def test_sample_matches_haar_pair_loop(self, tmp_path, seed):
-        # one draw of 2 * count quaternions gives the pairs of count haar_pair calls
-        rng = np.random.default_rng(seed)
-        expected = [pair_to_spec(haar_pair(rng)) for _ in range(100)]
-        code, out = run_to_file(
-            tmp_path, "pairs.json", "sample", "--count", "100", "--seed", str(seed)
-        )
-        assert code == 0
-        assert json.loads(out.read_text())["pairs"] == expected
 
     def test_sample_feeds_gap_profile(self, tmp_path):
         _, pair_file = run_to_file(

@@ -300,15 +300,16 @@ class TestLevelGap:
                 assert abs(gaps[n] - oracle) < 1e-9
 
     def test_conjugation_invariance(self, rng):
-        # every level through 8 on each pair, and through 150 on every third
-        for i in range(30):
+        # every level through 8 against the conjugate's profile, and level 150
+        # against the conjugate's reference gap, on each pair
+        for _ in range(30):
             pair = haar_pair(rng)
             k = haar_sample(rng)
             moved = Pair(conjugate(pair.a, k), conjugate(pair.b, k))
-            n_max = 150 if i % 3 == 0 else 8
-            gaps, moved_gaps = profile_gaps(pair, n_max), profile_gaps(moved, n_max)
-            for n, gap in gaps.items():
-                assert abs(gap - moved_gaps[n]) < 1e-9
+            gaps, moved_gaps = profile_gaps(pair, 150), profile_gaps(moved, 8)
+            for n, moved_gap in moved_gaps.items():
+                assert abs(gaps[n] - moved_gap) < 1e-9
+            assert abs(gaps[150] - level_gap_reference(moved, 150)) < 1e-9
 
     @pytest.mark.parametrize("n", [60, 61, 62, 63, 120, 200, 201])
     def test_canonical_frame_against_averaging_operator(self, edge_profiles, n):
