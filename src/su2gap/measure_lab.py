@@ -154,17 +154,42 @@ def boundary_distance(x, t):
     return np.minimum(_parabola_segment_distance(x, t), edge)
 
 
+def _count_near(xs, ts, delta: float) -> int:
+    """Number of points (x, t) with boundary_distance <= delta; see
+    boundary_mass for the prefilter.  Its temporaries die on return, before
+    the next chunk is drawn."""
+    gap = np.abs(ts - (xs * xs - 2.0))
+    slope = 2.0 * np.minimum(2.0, np.abs(xs) + gap)
+    keep = gap <= (delta * (1.0 + 1e-9) + 1e-12) * np.sqrt(1.0 + slope * slope)
+    keep |= np.minimum(2.0 - np.abs(xs), 2.0 - np.abs(ts)) <= delta
+    near = np.flatnonzero(keep)
+    return int(np.count_nonzero(boundary_distance(xs[near], ts[near]) <= delta))
+
+
 def boundary_mass(sample_count: int, delta: float, seed: int) -> float:
-    """Fraction of Haar pushforward samples within delta of the boundary of D."""
+    """Fraction of Haar pushforward samples within delta of the boundary of D.
+
+    The count is that of boundary_distance(xs, ts) <= delta over all samples,
+    but the distance runs only on the points a conservative bound cannot
+    exclude.  With the vertical gap g = |t - (x^2 - 2)|, the arc point
+    (x, x^2 - 2) is g away, so for |x| <= 2 the nearest arc point (u, u^2 - 2)
+    has |u - x| <= g, and the arc's slope between x and u is at most
+    L = 2 min(2, |x| + g).  Then g <= |t - (u^2 - 2)| + L |u - x|, and by
+    Cauchy-Schwarz the arc distance is at least g / sqrt(1 + L^2).  A point
+    is kept when g <= (delta (1 + 1e-9) + 1e-12) sqrt(1 + L^2) or its edge
+    distance min(2 - |x|, 2 - |t|) (the same floats as boundary_distance)
+    is <= delta; points with |x| > 2 always pass the edge test.  The fixed
+    margins, 1e-9 relative and 1e-12 absolute, are far wider than the
+    rounding of g, L and the computed distance (about 1e-15 absolute), so no
+    point whose computed distance is <= delta is dropped, and as
+    boundary_distance works point by point, the count is exact.
+    """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
     if delta <= 0:
         raise ValueError("delta must be positive")
     rng = np.random.default_rng(seed)
-    hits = sum(
-        int(np.count_nonzero(boundary_distance(xs, ts) <= delta))
-        for xs, ts in _haar_fricke_chunks(rng, sample_count)
-    )
+    hits = sum(_count_near(xs, ts, delta) for xs, ts in _haar_fricke_chunks(rng, sample_count))
     return hits / sample_count
 
 

@@ -147,15 +147,22 @@ def haar_quaternions(rng: np.random.Generator, count: int) -> np.ndarray:
     """(count, 4) array of unit quaternions uniform on the 3-sphere.
 
     Gaussian draw followed by normalization; rows with negligible norm are
-    redrawn so the result is always well defined.
+    redrawn so the result is always well defined.  The values are those of
+    q / np.linalg.norm(q, axis=1)[:, None] for the draw
+    q = rng.standard_normal((count, 4)): the norm is summed in
+    np.linalg.norm's order, ((w^2 + x^2) + y^2) + z^2.  The result is the
+    transposed view of a C-contiguous (4, count) block, so each component
+    column (a row of `.T`) is contiguous for the array products.
     """
-    q = rng.standard_normal((count, 4))
-    norms = np.linalg.norm(q, axis=1)
-    while np.any(norms < 1e-12):
+    q = np.ascontiguousarray(rng.standard_normal((count, 4)).T)
+    while True:
+        norms = np.sqrt(((q[0] * q[0] + q[1] * q[1]) + q[2] * q[2]) + q[3] * q[3])
         bad = norms < 1e-12
-        q[bad] = rng.standard_normal((int(bad.sum()), 4))
-        norms = np.linalg.norm(q, axis=1)
-    return q / norms[:, None]
+        if not bad.any():
+            break
+        q[:, bad] = rng.standard_normal((int(bad.sum()), 4)).T
+    q /= norms
+    return q.T
 
 
 def haar_sample(rng: np.random.Generator) -> SU2Element:

@@ -1,6 +1,10 @@
 """End-to-end command-line behaviour: artifacts, round trips, exit codes."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -173,6 +177,31 @@ class TestSeededDeterminism:
             .split("=")[1]
         )
         assert violation <= 1e-10
+
+    def test_gap_profile_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # the byte contract README states: up to --nmax 143 every solve is
+        # below size 145, where eigvalsh on OpenBLAS stops depending on the
+        # thread count; two fresh processes, since the count is read at load
+        s5 = 1.0 / math.sqrt(5.0)
+        pair_file = tmp_path / "lps.json"
+        pair_file.write_text(
+            json.dumps({"type": "matrix", "a": [s5, 2 * s5, 0.0, 0.0], "b": [s5, 0.0, 2 * s5, 0.0]})
+        )
+        package_root = os.path.dirname(os.path.dirname(su2gap.cli.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"profile-{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=package_root)
+            subprocess.run(
+                [
+                    sys.executable, "-c", "import sys; from su2gap.cli import main; sys.exit(main())",
+                    "gap-profile", "--pair", str(pair_file), "--nmax", "143", "--out", str(out),
+                ],
+                env=env,
+                check=True,
+            )
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestOtherCommands:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su2gap import (
     DegenerateFiberWarning,
@@ -22,7 +24,13 @@ from su2gap import (
     trace,
     trace_triple,
 )
-from su2gap.measure_lab import _CHUNK, _cell_counts, _parabola_segment_distance
+from su2gap.measure_lab import (
+    _CHUNK,
+    _cell_counts,
+    _count_near,
+    _haar_fricke_chunk,
+    _parabola_segment_distance,
+)
 from su2gap.su2_core import haar_quaternions
 
 # chi-square 0.999 quantile at 49 degrees of freedom
@@ -154,6 +162,57 @@ class TestBoundaryMass:
             boundary_mass(100, 0.0, seed=0)
 
 
+def boundary_band_points(distances):
+    """Points at each of the given distances from the pieces of the boundary
+    of D, on both sides of each: along arc normals at and near the vertex
+    x = 0, across the arc and at its ends x = +-2, across the top and side
+    edges, and around the corners."""
+    d = np.asarray(distances, dtype=float)[:, None]
+    u = np.concatenate([[0.0, 1e-9, 1e-3, 2.0 - 1e-3, 2.0 - 1e-9], np.linspace(0.05, 2.0, 40)])
+    u = np.concatenate([u, -u])
+    unit = np.sqrt(1.0 + 4.0 * u * u)
+    nx, nt = -2.0 * u / unit, 1.0 / unit  # unit normal of the arc, into D
+    along = np.linspace(-2.0, 2.0, 41)
+    angle = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+    pieces = []
+    for side in (1.0, -1.0):
+        pieces += [
+            (u + side * d * nx, u * u - 2.0 + side * d * nt),
+            (along, 2.0 - side * d),
+            (2.0 - side * d, along),
+            (-2.0 + side * d, along),
+            (2.0 * side + d * np.cos(angle), 2.0 + d * np.sin(angle)),
+        ]
+    xs, ts = zip(*(np.broadcast_arrays(x, t) for x, t in pieces))
+    return np.concatenate([x.ravel() for x in xs]), np.concatenate([t.ravel() for t in ts])
+
+
+class TestNearCount:
+    """boundary_mass's prefilter drops no point that boundary_distance puts
+    within delta: the oracle is the distance on every point."""
+
+    HAAR_POINTS = _haar_fricke_chunk(np.random.default_rng(3), 20_000)
+
+    @staticmethod
+    def unfiltered(xs, ts, delta):
+        return int(np.count_nonzero(boundary_distance(xs, ts) <= delta))
+
+    @pytest.mark.parametrize("delta", [1e-6, 0.01, 0.05, 0.3, 2.0])
+    def test_band_edge(self, delta):
+        inner, outer = boundary_band_points([delta - 1e-12]), boundary_band_points([delta + 1e-12])
+        xs, ts = (np.concatenate(pair) for pair in zip(inner, outer))
+        if delta < 2.0:  # at 2.0 every point is a hit; below, the band edge splits them
+            assert self.unfiltered(*inner, delta) > self.unfiltered(*outer, delta)
+        assert _count_near(xs, ts, delta) == self.unfiltered(xs, ts, delta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(delta=st.floats(min_value=0.0, max_value=2.5, exclude_min=True))
+    def test_any_delta(self, delta):
+        band = [max(delta - 1e-12, 0.0), delta * (1 - 1e-9), delta, delta * (1 + 1e-9), delta + 1e-12]
+        xs, ts = (np.concatenate(pair) for pair in zip(boundary_band_points(band), self.HAAR_POINTS))
+        assert _count_near(xs, ts, delta) == self.unfiltered(xs, ts, delta)
+
+
 def unchunked_fricke_reference(count, seed):
     """(x, t) of the same Haar draws as the library, from 2x2 matrix products
     over the whole sample at once."""
@@ -185,7 +244,7 @@ class TestChunking:
 
     def test_boundary_mass_matches_unchunked_reference(self):
         xs, ts = unchunked_fricke_reference(self.COUNT, seed=7)
-        for delta in (0.05, 0.3):
+        for delta in (1e-6, 0.01, 0.05, 0.3, 2.0):
             expected = float(np.mean(boundary_distance(xs, ts) <= delta))
             assert boundary_mass(self.COUNT, delta, seed=7) == expected
 

@@ -175,6 +175,37 @@ class TestHaarSampling:
         expected = q / np.linalg.norm(q, axis=1)[:, None]
         np.testing.assert_array_equal(haar_quaternions(np.random.default_rng(9), 5000), expected)
 
+    @pytest.mark.parametrize("bad_draws", [1, 2])
+    @pytest.mark.parametrize("bad_row", [[0.0, 0.0, 0.0, 0.0], [1e-13, 0.0, -1e-13, 0.0]])
+    def test_rows_below_the_norm_floor_are_redrawn(self, bad_draws, bad_row):
+        # the first `bad_draws` draws put a row of norm < 1e-12 at row 2 (the
+        # first draw) and row 0 (each one-row redraw); the oracle is the draws
+        # spliced by hand and divided by np.linalg.norm of their rows
+        class FloorStub:
+            def __init__(self):
+                self.rng, self.draws = np.random.default_rng(4), []
+
+            def standard_normal(self, size):
+                q = self.rng.standard_normal(size)
+                if len(self.draws) < bad_draws:
+                    q[2 if not self.draws else 0] = bad_row
+                self.draws.append(q.copy())
+                return q
+
+        stub = FloorStub()
+        got = haar_quaternions(stub, 6)
+        first, *redraws = stub.draws
+        assert [r.shape for r in redraws] == [(1, 4)] * bad_draws
+        spliced = first.copy()
+        spliced[2] = redraws[-1][0]
+        np.testing.assert_array_equal(got, spliced / np.linalg.norm(spliced, axis=1)[:, None])
+
+    def test_component_columns_are_contiguous(self, rng):
+        # the array products read the columns as rows of .T
+        q = haar_quaternions(rng, 1000)
+        assert q.shape == (1000, 4)
+        assert q.T.flags.c_contiguous
+
     def test_seed_determinism(self):
         g = haar_sample(np.random.default_rng(123))
         h = haar_sample(np.random.default_rng(123))
