@@ -3,8 +3,11 @@
 All commands are seeded and deterministic: identical invocations on the same
 numpy/BLAS build and BLAS thread count produce byte-identical artifacts.
 Output is CSV (default for tabular data) or JSON (default for pair records);
-CSV floats carry 17 significant digits so values round-trip losslessly;
-neither format carries a bare NaN or infinity.
+CSV floats carry 17 significant digits so values round-trip losslessly.
+JSON is laid out as json.dumps(doc, indent=2, allow_nan=False) plus a newline:
+2-space indent, non-ASCII and control characters as \\uXXXX escapes, floats as
+their Python repr, and the keys schema, command, the header keys, then the
+command's data, in that order.  Neither format carries a bare NaN or infinity.
 Exit codes: 0 success; 1 invalid input, with the message of the check that
 rejects it (the library's names its parameter), or an unwritable --out;
 2 domain error; 3 numerical error (an eigensolver failure, an eigenvalue
@@ -15,9 +18,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
+import operator
 import re
 import sys
 
@@ -56,39 +59,154 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_BATCH = 1 << 10  # rows per batch: few small strings live at once
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+_encode_str = json.encoder.encode_basestring_ascii
+# one encoder for a column of one exact type; a float column must be finite
+_JSON_COLUMN = {float: float.__repr__, int: int.__repr__, str: _encode_str}
+
+
+def _non_finite(value) -> ConvergenceError:
+    return ConvergenceError(f"artifact holds a non-finite value: {value!r}")
+
+
+def _json_scalar(value) -> str:
+    """One scalar as json.dumps writes it, with allow_nan=False."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise _non_finite(value)
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_key(key) -> str:
+    return _encode_str(key if isinstance(key, str) else _json_scalar(key))
+
+
+def _json_column(values) -> list:
+    """The JSON texts of a sequence of scalars."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float and not all(map(math.isfinite, values)):
+        kind = None  # value by value, so the error names the value
+    return list(map(_JSON_COLUMN.get(kind, _json_scalar), values))
+
+
+def _json_records(batch: list, level: int):
+    """The texts of dicts at `level` from one %s template, or None unless all
+    share one key order and hold scalars or same-length lists of scalars."""
+    keys = tuple(batch[0])
+    if not keys or set(map(tuple, batch)) != {keys}:
+        return None
+    inner, deep = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
+    fields, columns = [], []
+    for key in keys:
+        values = list(map(operator.itemgetter(key), batch))
+        kinds = set(map(type, values))
+        name = _json_key(key).replace("%", "%%")
+        if kinds <= _JSON_SCALARS:
+            fields.append(f"{name}: %s")
+            columns.append(_json_column(values))
+            continue
+        if not kinds <= {list, tuple} or len(set(map(len, values))) != 1 or not values[0]:
+            return None
+        for entries in zip(*values):
+            if not set(map(type, entries)) <= _JSON_SCALARS:
+                return None
+            columns.append(_json_column(entries))
+        slots = ("," + deep).join(["%s"] * len(values[0]))
+        fields.append(f"{name}: [{deep}{slots}{inner}]")
+    template = "{" + inner + ("," + inner).join(fields) + "\n" + "  " * level + "}"
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _json_write(value, level: int, parts: list) -> None:
+    """Append the text of `value`, nested `level` deep, as json.dumps(indent=2)."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = "\n" + "  " * (level + 1)
+        parts.append("[" + inner)
+        for start in range(0, len(value), _BATCH):
+            batch = value[start : start + _BATCH]
+            kinds = set(map(type, batch))
+            if kinds <= _JSON_SCALARS:
+                texts = _json_column(batch)
+            elif kinds != {dict} or (texts := _json_records(batch, level + 1)) is None:
+                texts = []
+                for item in batch:
+                    item_parts = []
+                    _json_write(item, level + 1, item_parts)
+                    texts.append("".join(item_parts))
+            if start:
+                parts.append("," + inner)
+            parts.append(("," + inner).join(texts))
+        parts.append("\n" + "  " * level + "]")
+    elif isinstance(value, dict) and value:
+        inner = "\n" + "  " * (level + 1)
+        separator = "{" + inner
+        for key, item in value.items():
+            parts.append(f"{separator}{_json_key(key)}: ")
+            _json_write(item, level + 1, parts)
+            separator = "," + inner
+        parts.append("\n" + "  " * level + "}")
+    else:
+        parts.append("{}" if isinstance(value, dict) else _json_scalar(value))
+
+
 def _render(command: str, fmt: str, meta: dict, columns, rows, extra) -> str:
     """The artifact text for one command: the only place CSV and JSON are written.
 
     CSV is the meta header, the column line and the rows, with floats at 17
     significant digits.  JSON is {"schema", "command"} | meta | extra(), and
     only JSON calls extra; a key of extra() that is also in meta keeps meta's
-    position and takes extra()'s value.  A NaN or infinity in either form
-    raises ConvergenceError, so no artifact carries a bare non-finite number.
+    position and takes extra()'s value.  The JSON text is that of
+    json.dumps(doc, indent=2, allow_nan=False) plus a newline; lists are
+    written in batches, a column of scalars or of flat records at a time.  A
+    NaN or infinity in either form raises ConvergenceError, so no artifact
+    carries a bare non-finite number.
     """
     if fmt == "json":
-        body = {"schema": SCHEMA_VERSION, "command": command} | meta | extra()
-        chunks = json.JSONEncoder(indent=2, allow_nan=False).iterencode(body)
         parts = []
-        try:
-            # batch by batch: a list of all an orbit's chunks outweighs its text
-            while batch := list(itertools.islice(chunks, 1 << 14)):
-                parts.append("".join(batch))
-        except ValueError as exc:
-            raise ConvergenceError(f"artifact holds a non-finite value: {exc}") from exc
-        return "".join([*parts, "\n"])
+        _json_write({"schema": SCHEMA_VERSION, "command": command} | meta | extra(), 0, parts)
+        parts.append("\n")
+        return "".join(parts)
 
     def cell(value) -> str:
         if not isinstance(value, float):
             return str(value)
         if not math.isfinite(value):
-            raise ConvergenceError(f"artifact holds a non-finite value: {value!r}")
+            raise _non_finite(value)
         return f"{value:.17g}"
 
     lines = [f"# schema={SCHEMA_VERSION}", f"# command={command}"]
     lines += [f"# {key}={cell(value)}" for key, value in meta.items()]
     lines.append(",".join(columns))
-    lines += [",".join(cell(value) for value in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    for start in range(0, len(rows), _BATCH):
+        table = list(zip(*rows[start : start + _BATCH]))
+        template = []
+        for i, values in enumerate(table):
+            kinds = set(map(type, values))
+            if kinds == {float} and all(map(math.isfinite, values)):
+                template.append("%.17g")
+                continue
+            template.append("%s")  # str(value), as cell() writes all but floats
+            if any(issubclass(kind, float) for kind in kinds):
+                table[i] = list(map(cell, values))
+        lines.append("\n".join(map(",".join(template).__mod__, zip(*table))))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _require(condition: bool, message: str) -> None:

@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 APPROX_TOL = 1e-10
+_HAAR_BLOCK = 1 << 14  # rows of normals drawn at a time
 
 
 @dataclass(frozen=True)
@@ -152,9 +153,14 @@ def haar_quaternions(rng: np.random.Generator, count: int) -> np.ndarray:
     q = rng.standard_normal((count, 4)): the norm is summed in
     np.linalg.norm's order, ((w^2 + x^2) + y^2) + z^2.  The result is the
     transposed view of a C-contiguous (4, count) block, so each component
-    column (a row of `.T`) is contiguous for the array products.
+    column (a row of `.T`) is contiguous for the array products.  The draw
+    goes into that block _HAAR_BLOCK rows at a time, the same stream of
+    normals as one (count, 4) draw without a second copy of it.
     """
-    q = np.ascontiguousarray(rng.standard_normal((count, 4)).T)
+    q = np.empty((4, count))
+    for start in range(0, count, _HAAR_BLOCK):
+        rows = min(_HAAR_BLOCK, count - start)
+        q[:, start : start + rows] = rng.standard_normal((rows, 4)).T
     while True:
         norms = np.sqrt(((q[0] * q[0] + q[1] * q[1]) + q[2] * q[2]) + q[3] * q[3])
         bad = norms < 1e-12

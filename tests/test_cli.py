@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: artifacts, round trips, exit codes."""
 
+import itertools
 import json
 import math
 import os
@@ -8,9 +9,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import su2gap.cli
 import su2gap.spectral
+import su2gap.su2_core
 from su2gap.cli import build_parser, main
 from su2gap.errors import ConvergenceError
 from su2gap.spectral import GapProfile
@@ -410,13 +414,31 @@ class TestExitCodes:
     def test_non_finite_artifact_exit_three(self, tmp_path, monkeypatch, fmt):
         pair_file = tmp_path / "pair.json"
         pair_file.write_text(json.dumps({"type": "fricke", "x": 0.0, "t": 2.0}))
-        # a finite header with a NaN row, so both formats must look past meta
-        levels = ((1, 0.5), (2, float("nan")))
-        profile = GapProfile(levels=levels, min_gap=0.5, argmin_level=1)
-        monkeypatch.setattr(su2gap.spectral, "gap_profile", lambda pair, n_max: profile)
-        out = tmp_path / f"profile.{fmt}"
-        argv = ["gap-profile", "--pair", str(pair_file), "--format", fmt]
-        assert run_cli(*argv, "--out", str(out)) == 3
+        # a finite header with a NaN row, so both formats must look past meta;
+        # at level 4,500 of 5,000 the NaN lies past the first batch of rows
+        for nan_level in (2, 4500):
+            levels = tuple((n, math.nan if n == nan_level else 0.5) for n in range(1, 5001))
+            profile = GapProfile(levels=levels, min_gap=0.5, argmin_level=1)
+            monkeypatch.setattr(su2gap.spectral, "gap_profile", lambda pair, n_max: profile)
+            out = tmp_path / f"profile{nan_level}.{fmt}"
+            argv = ["gap-profile", "--pair", str(pair_file), "--format", fmt]
+            assert run_cli(*argv, "--out", str(out)) == 3
+            assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_pair_spec_exit_three(self, tmp_path, monkeypatch, fmt):
+        # -inf inside the "b" list of pair spec 1,400 of 1,500, past the first batch
+        specs = itertools.count()
+
+        def pair_to_spec(pair):
+            spec = su2gap.su2_core.pair_to_spec(pair)
+            if next(specs) == 1400:
+                spec["b"][1] = -math.inf
+            return spec
+
+        monkeypatch.setattr(su2gap.cli, "pair_to_spec", pair_to_spec)
+        out = tmp_path / f"pairs.{fmt}"
+        assert run_cli("sample", "--count", "1500", "--format", fmt, "--out", str(out)) == 3
         assert not out.exists()
 
     def test_unreadable_pair_file(self, tmp_path):
@@ -544,3 +566,113 @@ class TestParserReuse:
         fresh = [run(argv) for argv in self.ARGVS]
         assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 1, 0, 0, 0, 0, 0]
         assert reused == fresh
+
+
+# Renderer properties.  Keys and strings mix "%" (the writer's templates are
+# %-formatted), escapes, non-ASCII and control characters.
+TEXT = st.text(
+    st.sampled_from('%"\\\n\x00\x7f\u00e9\u2603\U0001d11e') | st.characters(), max_size=6
+)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e-310])
+SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | TEXT
+NEAR_MISSES = ("order", "length", "nested", "bool", "int", "empty list", "empty dict")
+
+
+@st.composite
+def record_lists(draw):
+    """Dicts with one key order and scalar or same-width float-list columns,
+    sometimes with one record changed so that the list has no one template."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    kind = st.sampled_from(["float", "int", "str", "list"])
+    kinds = draw(st.lists(kind, min_size=len(keys), max_size=len(keys)))
+    width = draw(st.integers(1, 3))
+    strategy = {
+        "float": FLOATS,
+        "int": st.integers(),
+        "str": TEXT,
+        "list": st.lists(FLOATS, min_size=width, max_size=width),
+    }
+    fixed = st.fixed_dictionaries({key: strategy[kind] for key, kind in zip(keys, kinds)})
+    records = draw(st.lists(fixed, min_size=1, max_size=6))
+    miss = draw(st.sampled_from((None,) + NEAR_MISSES))
+    i, key = draw(st.integers(0, len(records) - 1)), draw(st.sampled_from(keys))
+    if miss == "order":
+        records[i] = dict(reversed(records[i].items()))
+    elif miss == "empty dict":
+        records[i] = {}
+    elif miss is not None:
+        records[i][key] = {
+            "length": [0.5] * (width + 1),
+            "nested": {"x": [1.5]},
+            "bool": True,
+            "int": 7,
+            "empty list": [],
+        }[miss]
+    return records
+
+
+# lists of one scalar type take the writer's column path
+COLUMNS = st.one_of(
+    [st.lists(kind, min_size=1) for kind in (st.none(), st.booleans(), st.integers(), FLOATS, TEXT)]
+)
+DOCUMENTS = st.recursive(
+    SCALARS | COLUMNS | record_lists(),
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(TEXT, children, max_size=5),
+    max_leaves=20,
+)
+
+
+def csv_cell(value) -> str:
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+CSV_COLUMNS = {
+    "float": FLOATS,
+    "int": st.integers() | st.booleans(),
+    "str": TEXT,
+    "mixed": st.one_of(FLOATS, FLOATS.map(np.float64), st.integers(), TEXT, st.none()),
+}
+
+
+@st.composite
+def csv_tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(CSV_COLUMNS)), min_size=1, max_size=5))
+    row = st.tuples(*(CSV_COLUMNS[kind] for kind in kinds))
+    return draw(st.lists(row, max_size=8))
+
+
+class TestRenderer:
+    """_render against the json module and the per-cell CSV writer; a batch
+    size of a few rows puts batch joins inside small documents."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        meta=st.dictionaries(TEXT, SCALARS, max_size=3),
+        data=st.dictionaries(TEXT, DOCUMENTS, max_size=4),
+        batch=st.sampled_from([1, 2, 3, 1024]),
+    )
+    def test_json_equals_json_dumps(self, meta, data, batch):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(su2gap.cli, "_BATCH", batch)
+            text = su2gap.cli._render("cmd", "json", meta, (), [], lambda: data)
+        doc = {"schema": su2gap.cli.SCHEMA_VERSION, "command": "cmd"} | meta | data
+        assert text == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=csv_tables(), batch=st.sampled_from([1, 2, 3, 1024]))
+    def test_csv_rows_equal_per_cell_reference(self, rows, batch):
+        columns = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(su2gap.cli, "_BATCH", batch)
+            text = su2gap.cli._render("cmd", "csv", {"seed": 3}, columns, rows, dict)
+        lines = ["# schema=1", "# command=cmd", "# seed=3", ",".join(columns)]
+        lines += [",".join(csv_cell(v) for v in row) for row in rows]
+        assert text == "\n".join(lines) + "\n"
+
+    def test_records_past_the_first_batch(self):
+        # 2,500 orbit-shaped records with a near miss in the second batch
+        records = [{"path": "S" * (i % 5), "x": i / 7, "t": -i / 3} for i in range(2500)]
+        records[1500] = {"path": "X", "x": 1, "t": 0.5}
+        text = su2gap.cli._render("cmd", "json", {}, (), [], lambda: {"orbit": records})
+        expected = {"schema": 1, "command": "cmd", "orbit": records}
+        assert text == json.dumps(expected, indent=2, allow_nan=False) + "\n"

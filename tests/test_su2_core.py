@@ -169,11 +169,14 @@ class TestHaarSampling:
         assert chi_sq < CHI2_CRIT_49_999
 
     def test_quaternions_are_the_normalized_gaussian_draw(self):
-        # oracle: the same Gaussian draw divided by np.linalg.norm of its
-        # rows; a lower-memory normalization must keep these bits
-        q = np.random.default_rng(9).standard_normal((5000, 4))
-        expected = q / np.linalg.norm(q, axis=1)[:, None]
-        np.testing.assert_array_equal(haar_quaternions(np.random.default_rng(9), 5000), expected)
+        # oracle: one (count, 4) Gaussian draw divided by np.linalg.norm of
+        # its rows; drawing in row blocks must keep these bits, on both sides
+        # of the 2^14-row block
+        for count in (1, 5000, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 100001):
+            q = np.random.default_rng(9).standard_normal((count, 4))
+            expected = q / np.linalg.norm(q, axis=1)[:, None]
+            got = haar_quaternions(np.random.default_rng(9), count)
+            np.testing.assert_array_equal(got, expected, err_msg=f"count {count}")
 
     @pytest.mark.parametrize("bad_draws", [1, 2])
     @pytest.mark.parametrize("bad_row", [[0.0, 0.0, 0.0, 0.0], [1e-13, 0.0, -1e-13, 0.0]])
