@@ -102,55 +102,80 @@ def _json_column(values) -> list:
     return list(map(_JSON_COLUMN.get(kind, _json_scalar), values))
 
 
-def _json_records(batch: list, level: int):
-    """The texts of dicts at `level` from one %s template, or None unless all
-    share one key order and hold scalars or same-length lists of scalars."""
-    keys = tuple(batch[0])
-    if not keys or set(map(tuple, batch)) != {keys}:
+class _Records:
+    """A JSON list of flat records, written as [dict(zip(columns, row)) for
+    row in rows] would be, without building the dicts."""
+
+    def __init__(self, columns: tuple, rows: list):
+        self.columns, self.rows = columns, rows
+
+
+def _json_records(keys: tuple, values: list, level: int):
+    """The texts of records at `level` with keys[i] -> values[i][j] in record
+    j, from one %s template, or None unless each values[i] holds scalars or
+    same-length lists of scalars."""
+    if not keys:
         return None
     inner, deep = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
     fields, columns = [], []
-    for key in keys:
-        values = list(map(operator.itemgetter(key), batch))
-        kinds = set(map(type, values))
+    for key, column in zip(keys, values):
+        kinds = set(map(type, column))
         name = _json_key(key).replace("%", "%%")
         if kinds <= _JSON_SCALARS:
             fields.append(f"{name}: %s")
-            columns.append(_json_column(values))
+            columns.append(_json_column(column))
             continue
-        if not kinds <= {list, tuple} or len(set(map(len, values))) != 1 or not values[0]:
+        if not kinds <= {list, tuple} or len(set(map(len, column))) != 1 or not column[0]:
             return None
-        for entries in zip(*values):
+        for entries in zip(*column):
             if not set(map(type, entries)) <= _JSON_SCALARS:
                 return None
             columns.append(_json_column(entries))
-        slots = ("," + deep).join(["%s"] * len(values[0]))
+        slots = ("," + deep).join(["%s"] * len(column[0]))
         fields.append(f"{name}: [{deep}{slots}{inner}]")
     template = "{" + inner + ("," + inner).join(fields) + "\n" + "  " * level + "}"
     return list(map(template.__mod__, zip(*columns)))
 
 
+def _json_batch(batch: list, keys, level: int) -> list:
+    """The texts of one batch of list items at `level`: rows of a _Records
+    when `keys` is its columns, else the items themselves."""
+    texts = None
+    if keys is not None:
+        texts = _json_records(keys, list(zip(*batch)), level)
+        if texts is None:
+            batch = [dict(zip(keys, row)) for row in batch]
+    elif (kinds := set(map(type, batch))) <= _JSON_SCALARS:
+        return _json_column(batch)
+    elif kinds == {dict}:
+        keys = tuple(batch[0])
+        if set(map(tuple, batch)) == {keys}:
+            values = [list(map(operator.itemgetter(key), batch)) for key in keys]
+            texts = _json_records(keys, values, level)
+    if texts is None:
+        texts = []
+        for item in batch:
+            item_parts = []
+            _json_write(item, level, item_parts)
+            texts.append("".join(item_parts))
+    return texts
+
+
 def _json_write(value, level: int, parts: list) -> None:
-    """Append the text of `value`, nested `level` deep, as json.dumps(indent=2)."""
-    if isinstance(value, (list, tuple)):
-        if not value:
+    """Append the text of `value`, nested `level` deep, as json.dumps(indent=2)
+    writes it; a _Records is written as its list of dicts."""
+    keys = value.columns if isinstance(value, _Records) else None
+    if keys is not None or isinstance(value, (list, tuple)):
+        items = value.rows if keys is not None else value
+        if not items:
             parts.append("[]")
             return
         inner = "\n" + "  " * (level + 1)
         parts.append("[" + inner)
-        for start in range(0, len(value), _BATCH):
-            batch = value[start : start + _BATCH]
-            kinds = set(map(type, batch))
-            if kinds <= _JSON_SCALARS:
-                texts = _json_column(batch)
-            elif kinds != {dict} or (texts := _json_records(batch, level + 1)) is None:
-                texts = []
-                for item in batch:
-                    item_parts = []
-                    _json_write(item, level + 1, item_parts)
-                    texts.append("".join(item_parts))
+        for start in range(0, len(items), _BATCH):
             if start:
                 parts.append("," + inner)
+            texts = _json_batch(items[start : start + _BATCH], keys, level + 1)
             parts.append(("," + inner).join(texts))
         parts.append("\n" + "  " * level + "]")
     elif isinstance(value, dict) and value:
@@ -310,7 +335,7 @@ def _cmd_orbit(args) -> tuple:
     meta = {"depth": args.depth, "max_points": args.max_points, "points": len(orbit)}
     columns = ("path", "x", "t")
     rows = list(zip(orbit.paths, orbit.x.tolist(), orbit.t.tolist()))
-    return meta, columns, rows, lambda: {"orbit": [dict(zip(columns, row)) for row in rows]}
+    return meta, columns, rows, lambda: {"orbit": _Records(columns, rows)}
 
 
 def _cmd_gap_profile(args) -> tuple:
@@ -324,7 +349,7 @@ def _cmd_gap_profile(args) -> tuple:
     }
     columns = ("n", "dim", "gap")
     rows = profile.rows()
-    return meta, columns, rows, lambda: {"levels": [dict(zip(columns, row)) for row in rows]}
+    return meta, columns, rows, lambda: {"levels": _Records(columns, rows)}
 
 
 def _cmd_defect(args) -> tuple:
@@ -349,7 +374,7 @@ def _cmd_defect(args) -> tuple:
         "max_violation": float(max_violation),
     }
     columns = ("trial", "lhs", "rhs")
-    return meta, columns, rows, lambda: {"trials_data": [dict(zip(columns, row)) for row in rows]}
+    return meta, columns, rows, lambda: {"trials_data": _Records(columns, rows)}
 
 
 def _cmd_density(args) -> tuple:

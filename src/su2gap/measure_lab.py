@@ -6,7 +6,7 @@ sampling of commutator-trace fibers, and the transport of a fiber under
 squaring the first generator.
 
 Every sampler works on flat arrays of quaternion components (w, x, y, z),
-one numpy pass per chunk of Haar pairs or per fiber, so no per-sample Python
+one numpy pass per block of Haar pairs or per fiber, so no per-sample Python
 code runs; SU2Element objects are built only for the pairs that sample_fiber
 returns.  Products go through su2_core.quaternion_product and every
 commutator trace is the closed form su2_core.commutator_trace.
@@ -14,13 +14,17 @@ commutator trace is the closed form su2_core.commutator_trace.
 
 from __future__ import annotations
 
+import queue
+import threading
 import warnings
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateFiberWarning
 from .su2_core import (
+    _HAAR_BLOCK,
     Pair,
     SU2Element,
     commutator_trace,
@@ -30,20 +34,98 @@ from .su2_core import (
 )
 from .trace_geometry import construct_components_from_traces
 
-_CHUNK = 1 << 18
+_CHUNK = 1 << 18  # pairs whose first elements are drawn at once
+_RING = 4  # blocks of normals the producer thread may draw ahead
 
 
-def _haar_fricke_chunk(rng: np.random.Generator, size: int):
-    """(x, t) coordinates of `size` Haar pairs; the quaternions die on return."""
-    qa = haar_quaternions(rng, size)
-    qb = haar_quaternions(rng, size)
-    return 2.0 * qa[:, 0], commutator_trace(qa.T[1:], qb.T[1:])
+class _NormalStream:
+    """The standard normals of one Generator, drawn ahead on a daemon thread.
+
+    standard_normal((rows, 4)) returns the next rows of the stream, the same
+    numbers as rng.standard_normal however the calls split it.  The thread
+    fills a ring of _RING (_HAAR_BLOCK, 4) blocks, allocated once, through
+    rng.standard_normal(out=block), which releases the GIL while it fills, so
+    the reader's numpy arithmetic runs beside it.  A result may be a view of
+    a ring block and is valid until the next call.  An exception in the
+    thread is raised again by the reader.  close() stops and joins the
+    thread; the Generator is then past the rows read, by up to a ring.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._free, self._full = queue.SimpleQueue(), queue.SimpleQueue()
+        for _ in range(_RING):
+            self._free.put(np.empty((_HAAR_BLOCK, 4)))
+        self._block, self._used = None, _HAAR_BLOCK
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._produce, args=(rng,), daemon=True)
+        self._thread.start()
+
+    def _produce(self, rng) -> None:
+        try:
+            while (block := self._free.get()) is not None and not self._stop.is_set():
+                rng.standard_normal(out=block)
+                self._full.put(block)
+        except BaseException as exc:  # handed to the reader, which raises it
+            self._full.put(exc)
+
+    def _rows(self, rows: int) -> np.ndarray:
+        """Up to `rows` next rows, from the current block or the next one."""
+        if self._used == _HAAR_BLOCK:
+            if self._block is not None:
+                self._free.put(self._block)
+                self._block = None
+            item = self._full.get()
+            if isinstance(item, BaseException):
+                raise item
+            self._block, self._used = item, 0
+        start = self._used
+        self._used = min(_HAAR_BLOCK, start + rows)
+        return self._block[start : self._used]
+
+    def standard_normal(self, size: tuple) -> np.ndarray:
+        rows, _ = size
+        part = self._rows(rows)
+        if len(part) == rows:
+            return part
+        out, done = np.empty((rows, 4)), 0
+        while True:
+            # copied before the next _rows call hands its block back to the thread
+            out[done : done + len(part)] = part
+            done += len(part)
+            if done == rows:
+                return out
+            part = self._rows(rows - done)
+
+    def close(self) -> None:
+        self._stop.set()
+        self._free.put(None)  # wakes the thread if it waits for a free block
+        self._thread.join()
 
 
 def _haar_fricke_chunks(rng: np.random.Generator, count: int):
-    """(x, t) coordinates of `count` Haar pairs, yielded in fixed-size chunks."""
-    for start in range(0, count, _CHUNK):
-        yield _haar_fricke_chunk(rng, min(_CHUNK, count - start))
+    """(x, t) coordinates of `count` Haar pairs, yielded in blocks of at most
+    _HAAR_BLOCK pairs.
+
+    Each _CHUNK of pairs draws qa = haar_quaternions(stream, size), then qb
+    as haar_quaternions(stream, rows) for each block of qa's rows, so the
+    stream of normals and the qa/qb pairing are those of one qa and one qb
+    draw per chunk.  The one difference: a qb row of norm < 1e-12 (about
+    1e-49 per row) takes its replacement from the end of its block, not of
+    its chunk, and the law is still exactly Haar.  The normals come from a
+    _NormalStream, whose thread is joined when the generator is exhausted,
+    closed or left by an exception.
+    """
+    stream = _NormalStream(rng)
+    try:
+        for start in range(0, count, _CHUNK):
+            size = min(_CHUNK, count - start)
+            qa = haar_quaternions(stream, size)
+            for s in range(0, size, _HAAR_BLOCK):
+                e = min(s + _HAAR_BLOCK, size)
+                qb = haar_quaternions(stream, e - s)
+                yield 2.0 * qa[s:e, 0], commutator_trace(qa.T[1:, s:e], qb.T[1:])
+    finally:
+        stream.close()
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,8 +182,9 @@ def pushforward_histogram(sample_count: int, bins: int, seed: int) -> Histogram2
         raise ValueError("bins must be at least 2")
     rng = np.random.default_rng(seed)
     counts = np.zeros((bins, bins), dtype=np.int64)
-    for xs, ts in _haar_fricke_chunks(rng, sample_count):
-        counts += _cell_counts(xs, ts, bins)
+    with closing(_haar_fricke_chunks(rng, sample_count)) as chunks:
+        for xs, ts in chunks:
+            counts += _cell_counts(xs, ts, bins)
     return Histogram2D(
         counts=counts,
         bins_per_axis=bins,
@@ -157,7 +240,7 @@ def boundary_distance(x, t):
 def _count_near(xs, ts, delta: float) -> int:
     """Number of points (x, t) with boundary_distance <= delta; see
     boundary_mass for the prefilter.  Its temporaries die on return, before
-    the next chunk is drawn."""
+    the next block is drawn."""
     gap = np.abs(ts - (xs * xs - 2.0))
     slope = 2.0 * np.minimum(2.0, np.abs(xs) + gap)
     keep = gap <= (delta * (1.0 + 1e-9) + 1e-12) * np.sqrt(1.0 + slope * slope)
@@ -189,7 +272,8 @@ def boundary_mass(sample_count: int, delta: float, seed: int) -> float:
     if delta <= 0:
         raise ValueError("delta must be positive")
     rng = np.random.default_rng(seed)
-    hits = sum(_count_near(xs, ts, delta) for xs, ts in _haar_fricke_chunks(rng, sample_count))
+    with closing(_haar_fricke_chunks(rng, sample_count)) as chunks:
+        hits = sum(_count_near(xs, ts, delta) for xs, ts in chunks)
     return hits / sample_count
 
 

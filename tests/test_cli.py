@@ -676,3 +676,47 @@ class TestRenderer:
         text = su2gap.cli._render("cmd", "json", {}, (), [], lambda: {"orbit": records})
         expected = {"schema": 1, "command": "cmd", "orbit": records}
         assert text == json.dumps(expected, indent=2, allow_nan=False) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=record_lists(), batch=st.sampled_from([1, 2, 3, 1024]))
+    def test_records_equal_their_dicts(self, records, batch):
+        # the rows of a _Records are written as the dicts zip(columns, row)
+        columns = tuple(records[0])
+        rows = [[record.get(key) for key in columns] for record in records]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(su2gap.cli, "_BATCH", batch)
+            text = su2gap.cli._render(
+                "cmd", "json", {}, (), [], lambda: {"rows": su2gap.cli._Records(columns, rows)}
+            )
+        expected = {"schema": 1, "command": "cmd", "rows": [dict(zip(columns, row)) for row in rows]}
+        assert text == json.dumps(expected, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_record_raises(self, bad):
+        rows = [[n, n + 1, 0.5 if n != 1500 else bad] for n in range(2000)]
+        records = su2gap.cli._Records(("n", "dim", "gap"), rows)
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            su2gap.cli._render("cmd", "json", {}, (), [], lambda: {"levels": records})
+        with pytest.raises(ValueError):
+            json.dumps([dict(zip(records.columns, row)) for row in rows], allow_nan=False)
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["orbit", "--depth", "5"], "orbit"),
+            (["gap-profile", "--nmax", "40"], "levels"),
+            (["defect", "--word", "abAB", "--level", "4", "--trials", "60"], "trials_data"),
+        ],
+    )
+    def test_record_commands_equal_json_dumps_of_dicts(self, tmp_path, monkeypatch, argv, key):
+        pair_file = tmp_path / "pair.json"
+        pair_file.write_text(json.dumps({"type": "fricke", "x": 0.3, "t": 0.7}))
+        argv = [argv[0], "--pair", str(pair_file), *argv[1:], "--format", "json"]
+        args = build_parser().parse_args(argv)
+        meta, columns, rows, _ = args.handler(args)
+        assert len(rows) > 20
+        doc = {"schema": 1, "command": argv[0]} | meta | {key: [dict(zip(columns, row)) for row in rows]}
+        monkeypatch.setattr(su2gap.cli, "_BATCH", 7)  # batch joins inside the records
+        code, out = run_to_file(tmp_path, "artifact.json", *argv)
+        assert code == 0
+        assert out.read_text() == json.dumps(doc, indent=2, allow_nan=False) + "\n"

@@ -1,5 +1,8 @@
 """Pushforward histograms, boundary mass, fiber sampling, and transport."""
 
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,14 +27,16 @@ from su2gap import (
     trace,
     trace_triple,
 )
+from su2gap import measure_lab
 from su2gap.measure_lab import (
     _CHUNK,
+    _NormalStream,
     _cell_counts,
     _count_near,
-    _haar_fricke_chunk,
+    _haar_fricke_chunks,
     _parabola_segment_distance,
 )
-from su2gap.su2_core import haar_quaternions
+from su2gap.su2_core import _HAAR_BLOCK, commutator_trace, haar_quaternions
 
 # chi-square 0.999 quantile at 49 degrees of freedom
 CHI2_CRIT_49_999 = 85.3505646085
@@ -187,11 +192,22 @@ def boundary_band_points(distances):
     return np.concatenate([x.ravel() for x in xs]), np.concatenate([t.ravel() for t in ts])
 
 
+def fricke_points(qa, qb):
+    """(x, t) of the pairs whose quaternions are the rows of qa and qb."""
+    return 2.0 * qa[:, 0], commutator_trace(qa.T[1:], qb.T[1:])
+
+
+def haar_fricke_points(count, seed):
+    """(x, t) of `count` Haar pairs from one qa draw and then one qb draw."""
+    rng = np.random.default_rng(seed)
+    return fricke_points(haar_quaternions(rng, count), haar_quaternions(rng, count))
+
+
 class TestNearCount:
     """boundary_mass's prefilter drops no point that boundary_distance puts
     within delta: the oracle is the distance on every point."""
 
-    HAAR_POINTS = _haar_fricke_chunk(np.random.default_rng(3), 20_000)
+    HAAR_POINTS = haar_fricke_points(20_000, seed=3)
 
     @staticmethod
     def unfiltered(xs, ts, delta):
@@ -255,6 +271,107 @@ class TestChunking:
         )
         counts = pushforward_histogram(self.COUNT, 12, seed=9).counts
         np.testing.assert_array_equal(counts, expected.astype(np.int64))
+
+
+class StreamStub:
+    """A Generator whose normal rows at the stream positions in `zero_rows`
+    are 0, and whose draw raises `error` once `raise_after` rows are out."""
+
+    def __init__(self, seed, zero_rows=(), raise_after=None, error=None):
+        self.rng, self.row = np.random.default_rng(seed), 0
+        self.zero_rows, self.raise_after, self.error = zero_rows, raise_after, error
+
+    def standard_normal(self, size=None, out=None):
+        if self.raise_after is not None and self.row >= self.raise_after:
+            raise self.error
+        out = self.rng.standard_normal(size, out=out)
+        for row in self.zero_rows:
+            if self.row <= row < self.row + len(out):
+                out[row - self.row] = 0.0
+        self.row += len(out)
+        return out
+
+
+def chunk_points(rng, count):
+    """(x, t) of all blocks of _haar_fricke_chunks, concatenated."""
+    xs, ts = zip(*_haar_fricke_chunks(rng, count))
+    return np.concatenate(xs), np.concatenate(ts)
+
+
+class TestNormalStream:
+    """_haar_fricke_chunks reads its normals through a producer thread and
+    draws qb in _HAAR_BLOCK-pair blocks; the points and the threads it
+    leaves must not show it."""
+
+    @pytest.mark.parametrize("count", [1, _HAAR_BLOCK - 1, _HAAR_BLOCK + 1, _CHUNK + 17])
+    def test_counts_and_mass_match_unchunked_reference(self, count):
+        xs, ts = unchunked_fricke_reference(count, seed=5)
+        expected, _, _ = np.histogram2d(
+            np.clip(xs, -2.0, 2.0), np.clip(ts, -2.0, 2.0), bins=12, range=[[-2, 2], [-2, 2]]
+        )
+        counts = pushforward_histogram(count, 12, seed=5).counts
+        np.testing.assert_array_equal(counts, expected.astype(np.int64))
+        for delta in (1e-6, 0.05, 0.3):
+            assert boundary_mass(count, delta, seed=5) == float(np.mean(boundary_distance(xs, ts) <= delta))
+
+    def test_reads_are_one_stream_however_split(self):
+        sizes = [1, _HAAR_BLOCK - 1, 5, 3 * _HAAR_BLOCK + 2, 7, _HAAR_BLOCK]
+        expected = np.random.default_rng(8).standard_normal((sum(sizes), 4))
+        stream = _NormalStream(np.random.default_rng(8))
+        try:
+            got = np.concatenate([stream.standard_normal((rows, 4)).copy() for rows in sizes])
+        finally:
+            stream.close()
+        np.testing.assert_array_equal(got, expected)
+
+    def test_zero_rows_are_redrawn_from_the_end_of_their_draw(self):
+        # one chunk of n pairs: qa is stream rows [0, n) with row 3 replaced
+        # by row n; qb's first block is the next B rows, with its row 7
+        # replaced by the row after the block, which is 0 as well and so is
+        # replaced by the row after it; the second block is the 5 rows after that
+        n, b = _HAAR_BLOCK + 5, _HAAR_BLOCK
+        first_qb = n + 1
+        zero_rows = (3, first_qb + 7, first_qb + b)
+        rows = np.random.default_rng(6).standard_normal((n + b + 8, 4))
+        qa = rows[:n].copy()
+        qa[3] = rows[n]
+        qb = np.concatenate([rows[first_qb : first_qb + b], rows[first_qb + b + 2 : first_qb + b + 7]])
+        qb[7] = rows[first_qb + b + 1]
+        expected = fricke_points(*(q / np.linalg.norm(q, axis=1)[:, None] for q in (qa, qb)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = chunk_points(StreamStub(6, zero_rows=zero_rows), n)
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g, e)
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        baseline = threading.active_count()
+        pushforward_histogram(_HAAR_BLOCK + 1, 12, seed=1)
+        assert threading.active_count() == baseline
+        boundary_mass(3 * _HAAR_BLOCK, 0.05, seed=1)
+        assert threading.active_count() == baseline
+
+        chunks = _haar_fricke_chunks(np.random.default_rng(1), _CHUNK)
+        next(chunks)
+        chunks.close()
+        assert threading.active_count() == baseline
+
+        def failing_count(xs, ts, arg):
+            raise ArithmeticError("count failed")
+
+        for name, call in (("_cell_counts", pushforward_histogram), ("_count_near", boundary_mass)):
+            monkeypatch.setattr(measure_lab, name, failing_count)
+            with pytest.raises(ArithmeticError, match="count failed") as caught:
+                call(3 * _HAAR_BLOCK, 12, 1)
+            # the traceback held in `caught` keeps the caller's frame alive
+            assert caught.tb is not None and threading.active_count() == baseline
+
+    def test_producer_error_reaches_the_reader(self):
+        baseline = threading.active_count()
+        stub = StreamStub(2, raise_after=3 * _HAAR_BLOCK, error=FloatingPointError("draw failed"))
+        with pytest.raises(FloatingPointError, match="draw failed"):
+            chunk_points(stub, _CHUNK)
+        assert threading.active_count() == baseline
 
 
 class TestCellCounts:
