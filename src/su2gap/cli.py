@@ -20,7 +20,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import re
 import sys
 
@@ -62,132 +61,66 @@ class _Parser(argparse.ArgumentParser):
 _BATCH = 1 << 10  # rows per batch: few small strings live at once
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 _encode_str = json.encoder.encode_basestring_ascii
-# one encoder for a column of one exact type; a float column must be finite
-_JSON_COLUMN = {float: float.__repr__, int: int.__repr__, str: _encode_str}
 
 
 def _non_finite(value) -> ConvergenceError:
     return ConvergenceError(f"artifact holds a non-finite value: {value!r}")
 
 
-def _json_scalar(value) -> str:
-    """One scalar as json.dumps writes it, with allow_nan=False."""
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise _non_finite(value)
-        return float.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _dumps(value, level: int = 0) -> str:
+    """json.dumps(value, indent=2, allow_nan=False) nested `level` deep; a
+    JSON string holds no raw newline, so re-indenting its lines is exact."""
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + "  " * level)
 
 
-def _json_key(key) -> str:
-    return _encode_str(key if isinstance(key, str) else _json_scalar(key))
-
-
-def _json_column(values) -> list:
-    """The JSON texts of a sequence of scalars."""
+def _column(values) -> list:
+    """The JSON texts of a sequence of scalars; json.dumps raises on NaN or infinity."""
     kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is float and not all(map(math.isfinite, values)):
-        kind = None  # value by value, so the error names the value
-    return list(map(_JSON_COLUMN.get(kind, _json_scalar), values))
+    if kinds == {int} or kinds == {float} and all(map(math.isfinite, values)):
+        return list(map(repr, values))
+    return list(map(_encode_str if kinds == {str} else _dumps, values))
 
 
 class _Records:
-    """A JSON list of flat records, written as [dict(zip(columns, row)) for
-    row in rows] would be, without building the dicts."""
+    """A JSON list of flat records, the value of a top-level key, written as
+    [dict(zip(columns, row)) for row in rows] would be without building the
+    dicts: batches of scalar and same-length list fields from one %s
+    template, any other batch through json.dumps."""
 
     def __init__(self, columns: tuple, rows: list):
         self.columns, self.rows = columns, rows
 
+    def parts(self) -> list:
+        """The list's text in pieces, one per batch of rows."""
+        if not self.rows:
+            return ["[]"]
+        parts = ["[\n    "]
+        for start in range(0, len(self.rows), _BATCH):
+            batch = self.rows[start : start + _BATCH]
+            texts = self._template(batch) or [_dumps(dict(zip(self.columns, r)), 2) for r in batch]
+            parts.append((",\n    " if start else "") + ",\n    ".join(texts))
+        return parts + ["\n  ]"]
 
-def _json_records(keys: tuple, values: list, level: int):
-    """The texts of records at `level` with keys[i] -> values[i][j] in record
-    j, from one %s template, or None unless each values[i] holds scalars or
-    same-length lists of scalars."""
-    if not keys:
-        return None
-    inner, deep = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
-    fields, columns = [], []
-    for key, column in zip(keys, values):
-        kinds = set(map(type, column))
-        name = _json_key(key).replace("%", "%%")
-        if kinds <= _JSON_SCALARS:
-            fields.append(f"{name}: %s")
-            columns.append(_json_column(column))
-            continue
-        if not kinds <= {list, tuple} or len(set(map(len, column))) != 1 or not column[0]:
-            return None
-        for entries in zip(*column):
-            if not set(map(type, entries)) <= _JSON_SCALARS:
+    def _template(self, batch: list):
+        """The batch's texts, or None unless each field holds scalars or
+        same-length lists of scalars."""
+        fields, columns = [], []
+        for key, column in zip(self.columns, zip(*batch)):
+            lists = set(map(type, column)) <= {list, tuple} and len(set(map(len, column))) == 1
+            entries = list(zip(*column)) if lists else [column]
+            if not entries or not all(set(map(type, e)) <= _JSON_SCALARS for e in entries):
                 return None
-            columns.append(_json_column(entries))
-        slots = ("," + deep).join(["%s"] * len(column[0]))
-        fields.append(f"{name}: [{deep}{slots}{inner}]")
-    template = "{" + inner + ("," + inner).join(fields) + "\n" + "  " * level + "}"
-    return list(map(template.__mod__, zip(*columns)))
+            columns += map(_column, entries)
+            slots = ",\n        ".join(["%s"] * len(entries))
+            name = _encode_str(key).replace("%", "%%")
+            fields.append(f"{name}: [\n        {slots}\n      ]" if lists else f"{name}: %s")
+        template = "{\n      " + ",\n      ".join(fields) + "\n    }"
+        return list(map(template.__mod__, zip(*columns))) if fields else None
 
 
-def _json_batch(batch: list, keys, level: int) -> list:
-    """The texts of one batch of list items at `level`: rows of a _Records
-    when `keys` is its columns, else the items themselves."""
-    texts = None
-    if keys is not None:
-        texts = _json_records(keys, list(zip(*batch)), level)
-        if texts is None:
-            batch = [dict(zip(keys, row)) for row in batch]
-    elif (kinds := set(map(type, batch))) <= _JSON_SCALARS:
-        return _json_column(batch)
-    elif kinds == {dict}:
-        keys = tuple(batch[0])
-        if set(map(tuple, batch)) == {keys}:
-            values = [list(map(operator.itemgetter(key), batch)) for key in keys]
-            texts = _json_records(keys, values, level)
-    if texts is None:
-        texts = []
-        for item in batch:
-            item_parts = []
-            _json_write(item, level, item_parts)
-            texts.append("".join(item_parts))
-    return texts
-
-
-def _json_write(value, level: int, parts: list) -> None:
-    """Append the text of `value`, nested `level` deep, as json.dumps(indent=2)
-    writes it; a _Records is written as its list of dicts."""
-    keys = value.columns if isinstance(value, _Records) else None
-    if keys is not None or isinstance(value, (list, tuple)):
-        items = value.rows if keys is not None else value
-        if not items:
-            parts.append("[]")
-            return
-        inner = "\n" + "  " * (level + 1)
-        parts.append("[" + inner)
-        for start in range(0, len(items), _BATCH):
-            if start:
-                parts.append("," + inner)
-            texts = _json_batch(items[start : start + _BATCH], keys, level + 1)
-            parts.append(("," + inner).join(texts))
-        parts.append("\n" + "  " * level + "]")
-    elif isinstance(value, dict) and value:
-        inner = "\n" + "  " * (level + 1)
-        separator = "{" + inner
-        for key, item in value.items():
-            parts.append(f"{separator}{_json_key(key)}: ")
-            _json_write(item, level + 1, parts)
-            separator = "," + inner
-        parts.append("\n" + "  " * level + "}")
-    else:
-        parts.append("{}" if isinstance(value, dict) else _json_scalar(value))
+def _refuse(constant: str):
+    """json.loads' hook for NaN, Infinity and -Infinity: the artifact's error."""
+    raise _non_finite(float(constant))
 
 
 def _render(command: str, fmt: str, meta: dict, columns, rows, extra) -> str:
@@ -197,16 +130,27 @@ def _render(command: str, fmt: str, meta: dict, columns, rows, extra) -> str:
     significant digits.  JSON is {"schema", "command"} | meta | extra(), and
     only JSON calls extra; a key of extra() that is also in meta keeps meta's
     position and takes extra()'s value.  The JSON text is that of
-    json.dumps(doc, indent=2, allow_nan=False) plus a newline; lists are
-    written in batches, a column of scalars or of flat records at a time.  A
-    NaN or infinity in either form raises ConvergenceError, so no artifact
-    carries a bare non-finite number.
+    json.dumps(doc, indent=2, allow_nan=False) plus a newline.  json.dumps
+    writes it, except that a _Records value writes its own rows from a
+    template, so the large record lists build no dicts.  A NaN or infinity
+    in either form raises ConvergenceError, so no artifact carries a bare
+    non-finite number.
     """
     if fmt == "json":
-        parts = []
-        _json_write({"schema": SCHEMA_VERSION, "command": command} | meta | extra(), 0, parts)
-        parts.append("\n")
-        return "".join(parts)
+        doc = {"schema": SCHEMA_VERSION, "command": command} | meta | extra()
+        try:
+            if not any(isinstance(value, _Records) for value in doc.values()):
+                return _dumps(doc) + "\n"
+            parts = []
+            for key, value in doc.items():
+                parts.append(("," if parts else "{") + f"\n  {_encode_str(key)}: ")
+                parts += value.parts() if isinstance(value, _Records) else [_dumps(value, 1)]
+            parts.append("\n}\n")
+            return "".join(parts)
+        except ValueError:  # json.dumps names no value; json.loads meets the first
+            text = json.dumps(doc, default=lambda records: records.rows)
+            json.loads(text, parse_constant=_refuse)
+            raise
 
     def cell(value) -> str:
         if not isinstance(value, float):
@@ -249,6 +193,8 @@ def _load_pair(path: str) -> Pair:
         raise ValueError(f"pair file {path!r} is not valid JSON: {exc}") from exc
     if isinstance(record, dict) and "pairs" in record:
         pairs = record["pairs"]
+        if not isinstance(pairs, list):
+            raise ValueError(f"pair file {path!r} has a \"pairs\" value that is not a list")
         if len(pairs) != 1:
             raise ValueError(
                 f"pair file {path!r} holds {len(pairs)} pairs; expected exactly one"
@@ -265,7 +211,8 @@ def _load_pair(path: str) -> Pair:
 def _pairs_artifact(meta: dict, pairs) -> tuple:
     specs = [pair_to_spec(p) for p in pairs]
     rows = [[i, *spec["a"], *spec["b"]] for i, spec in enumerate(specs)]
-    return meta, ("index",) + _PAIR_COLUMNS, rows, lambda: {"pairs": specs}
+    records = _Records(("type", "a", "b"), [(s["type"], s["a"], s["b"]) for s in specs])
+    return meta, ("index",) + _PAIR_COLUMNS, rows, lambda: {"pairs": records}
 
 
 # ---------------------------------------------------------------------------

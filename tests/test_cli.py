@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import su2gap.cli
+import su2gap.measure_lab
 import su2gap.spectral
 import su2gap.su2_core
 from su2gap.cli import build_parser, main
@@ -411,7 +412,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_non_finite_artifact_exit_three(self, tmp_path, monkeypatch, fmt):
+    def test_non_finite_artifact_exit_three(self, tmp_path, monkeypatch, capsys, fmt):
         pair_file = tmp_path / "pair.json"
         pair_file.write_text(json.dumps({"type": "fricke", "x": 0.0, "t": 2.0}))
         # a finite header with a NaN row, so both formats must look past meta;
@@ -423,10 +424,11 @@ class TestExitCodes:
             out = tmp_path / f"profile{nan_level}.{fmt}"
             argv = ["gap-profile", "--pair", str(pair_file), "--format", fmt]
             assert run_cli(*argv, "--out", str(out)) == 3
+            assert "non-finite value: nan" in capsys.readouterr().err
             assert not out.exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_non_finite_pair_spec_exit_three(self, tmp_path, monkeypatch, fmt):
+    def test_non_finite_pair_spec_exit_three(self, tmp_path, monkeypatch, capsys, fmt):
         # -inf inside the "b" list of pair spec 1,400 of 1,500, past the first batch
         specs = itertools.count()
 
@@ -439,6 +441,7 @@ class TestExitCodes:
         monkeypatch.setattr(su2gap.cli, "pair_to_spec", pair_to_spec)
         out = tmp_path / f"pairs.{fmt}"
         assert run_cli("sample", "--count", "1500", "--format", fmt, "--out", str(out)) == 3
+        assert "non-finite value: -inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unreadable_pair_file(self, tmp_path):
@@ -449,6 +452,23 @@ class TestExitCodes:
         pair_file.write_bytes(b'\xff\xfe{"type": "fricke"}')
         assert run_cli("traces", "--pair", str(pair_file)) == 1
         assert "is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            pytest.param({"pairs": 5}, "that is not a list", id="int"),
+            pytest.param({"pairs": {"x": 1}}, "that is not a list", id="dict"),
+            pytest.param({"pairs": []}, "holds 0 pairs", id="empty"),
+            pytest.param({"pairs": [1]}, "does not contain a pair-spec record", id="not-a-record"),
+        ],
+    )
+    def test_malformed_pair_file_exit_one(self, tmp_path, capsys, record, message):
+        pair_file = tmp_path / "pair.json"
+        pair_file.write_text(json.dumps(record))
+        assert run_cli("traces", "--pair", str(pair_file)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"su2gap: error: pair file {str(pair_file)!r}")
+        assert message in err
 
     def test_invalid_word(self, tmp_path):
         pair_file = tmp_path / "pair.json"
@@ -611,7 +631,7 @@ def record_lists(draw):
     return records
 
 
-# lists of one scalar type take the writer's column path
+# lists of one scalar type, the shape of most values outside the record lists
 COLUMNS = st.one_of(
     [st.lists(kind, min_size=1) for kind in (st.none(), st.booleans(), st.integers(), FLOATS, TEXT)]
 )
@@ -643,7 +663,7 @@ def csv_tables(draw):
 
 class TestRenderer:
     """_render against the json module and the per-cell CSV writer; a batch
-    size of a few rows puts batch joins inside small documents."""
+    size of a few rows puts batch joins inside small record lists and tables."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -720,3 +740,23 @@ class TestRenderer:
         code, out = run_to_file(tmp_path, "artifact.json", *argv)
         assert code == 0
         assert out.read_text() == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    def test_pair_specs_equal_json_dumps_of_dicts(self, tmp_path, monkeypatch):
+        # the pair specs are the only production records with list fields
+        rng = np.random.default_rng(5)
+        sampled = [su2gap.su2_core.haar_pair(rng) for _ in range(1500)]
+        fiber = su2gap.measure_lab.sample_fiber(0.5, 300, 6)
+        monkeypatch.setattr(su2gap.cli, "_BATCH", 7)  # batch joins inside the records
+        for argv, meta, pairs in [
+            (["sample", "--count", "1500", "--seed", "5"], {"seed": 5, "count": 1500}, sampled),
+            (
+                ["fiber-sample", "--t", "0.5", "--count", "300", "--seed", "6"],
+                {"t": 0.5, "count": 300, "seed": 6},
+                fiber,
+            ),
+        ]:
+            specs = [su2gap.su2_core.pair_to_spec(p) for p in pairs]
+            doc = {"schema": 1, "command": argv[0]} | meta | {"pairs": specs}
+            code, out = run_to_file(tmp_path, "pairs.json", *argv, "--format", "json")
+            assert code == 0
+            assert out.read_text() == json.dumps(doc, indent=2, allow_nan=False) + "\n"
