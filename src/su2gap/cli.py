@@ -1,7 +1,9 @@
 """Command-line interface: every operation behind one executable.
 
 All commands are seeded and deterministic: identical invocations on the same
-numpy/BLAS build and BLAS thread count produce byte-identical artifacts.
+numpy/BLAS build and BLAS thread count produce byte-identical artifacts; a
+gap-profile up to --nmax 286 solves only blocks below size 145, which keeps
+its bytes under any OpenBLAS thread count as well.
 Output is CSV (default for tabular data) or JSON (default for pair records);
 CSV floats carry 17 significant digits so values round-trip losslessly.
 JSON is laid out as json.dumps(doc, indent=2, allow_nan=False) plus a newline:

@@ -12,11 +12,14 @@ which a diagonal phase makes real symmetric, diagonalized exactly (Feng,
 Wang, Yang, Jin, Phys. Rev. E 92, 043307, 2015).  The gap depends only on
 the trace triple (tr a, tr b, tr ab), so gap_profile computes it on a
 canonical conjugate of the pair, where the averaging operator is real, and
-sweeps levels 1..n_max carrying the real Wigner block of a rotation by
-Risbo's Clebsch-Gordan step (J. Geodesy 70, 1996); when both canonical
-generators are diagonal, the operator's diagonal closed form replaces the
-sweep.  The involution inverting both generators halves every even level
-into two real blocks.  All eigenvalues come from LAPACK through numpy.
+sweeps levels 1..n_max carrying rows 0..n/2 of the real Wigner block of a
+rotation by Risbo's Clebsch-Gordan step (J. Geodesy 70, 1996), which keeps
+the block's mirror symmetry exactly, times a Hankel view of phases; when both
+canonical generators are diagonal, the operator's diagonal closed form
+replaces the sweep.  The involution J inverting both generators halves every
+solve: two real blocks at even levels, and at odd levels (J^2 = -I) one
+complex Hermitian block holding each Kramers pair once.  All eigenvalues
+come from LAPACK through numpy.
 
 A truncated profile is evidence, not a certificate: the true spectral gap is
 an infimum over all levels and no finite sweep can certify it.  Every summary
@@ -109,23 +112,28 @@ def _frame(pair: Pair) -> tuple[float, complex, float]:
     return math.atan2(norm_a, a.alpha.real), complex(b.alpha.real, along), across
 
 
-def _gap(operator: np.ndarray, n: int) -> float:
-    """1 - lambda_max of a real symmetric level-n operator that commutes with
+def _gap(rows: np.ndarray, n: int, signs: np.ndarray) -> float:
+    """1 - lambda_max of a real symmetric level-n operator A that commutes with
     J e_k = (-1)^k e_{n-k}, the image of the rotation inverting both canonical
-    generators.  Odd n takes one eigvalsh; even n = 2m reads rows 0..m, which
-    the J-eigenvectors (e_k +- (-1)^k e_{n-k}) / sqrt2 (k < m) and e_m split
-    into two real half blocks.  Rounding below 0 is reported as 0.  Raises
+    generators, from its rows 0..n//2 (overwritten); signs[k] = (-1)^k.  Odd
+    n = 2m - 1 has J^2 = -I, and on the J = -i eigenvectors (e_k + i J e_k) /
+    sqrt2 (k < m), A is H[j, k] = A[j, k] + i (-1)^k A[j, n - k], with each
+    Kramers pair once.  Even n = 2m reads rows 0..m, which the J-eigenvectors
+    (e_k +- (-1)^(m+k) e_{n-k}) / sqrt2 (k < m) and e_m split into two real
+    half blocks.  Rounding below 0 is reported as 0.  Raises
     ConvergenceError (with the level) if the eigensolver fails or lambda_max
     is not at most 1 + 1e-9, as no unitary block gives; NaN fails that too."""
+    m = n // 2
     if n % 2:
-        blocks = [operator]
+        folded = np.empty((m + 1, m + 1), dtype=complex)
+        folded.real = rows[:, : m + 1]
+        np.multiply(rows[:, n:m:-1], signs[: m + 1], out=folded.imag)
+        blocks = [folded]
     else:
-        m = n // 2
-        mirror = operator[:m, n:m:-1] * (-1.0) ** np.arange(m, 2 * m)
-        inner = operator[: m + 1, : m + 1].copy()
-        inner[:m, :m] += mirror
-        inner[m, :m] *= math.sqrt(2.0)  # eigvalsh reads the lower triangle
-        blocks = [inner, operator[:m, :m] - mirror]
+        mirror = rows[:m, n:m:-1] * signs[m : 2 * m]
+        blocks = [rows[:, : m + 1], rows[:m, :m] - mirror]
+        rows[:m, :m] += mirror
+        rows[m, :m] *= math.sqrt(2.0)  # eigvalsh reads the lower triangle
     try:
         top = float(np.max([np.linalg.eigvalsh(block)[-1] for block in blocks]))
     except np.linalg.LinAlgError as exc:
@@ -136,36 +144,42 @@ def _gap(operator: np.ndarray, n: int) -> float:
 
 
 def _rotation_blocks(c: float, s: float, n_max: int):
-    """Yield (d_n, spare), n = 1..n_max: d_n the level-n block of g = [[c, s],
-    [-s, c]] by Risbo's step (J. Geodesy 70, 1996), d_n[j, k] = sum over x, y
-    in {0, 1} of w[j, x] w[k, y] g[x, y] d_{n-1}[j - x, k - y], w[j, 0] =
-    sqrt((n - j) / n), w[j, 1] = sqrt(j / n); spare, two arrays free until the
-    next step, which overwrites both.  Stepping both sides keeps d_n
-    orthogonal to rounding; stepping columns alone does not."""
+    """Yield (D_n, spare), n = 1..n_max: rows 0..n//2 of D_n = diag((-1)^j)
+    d_n, d_n the level-n block of g = [[c, s], [-s, c]], and a flat array free
+    until the next step.  Risbo's step (J. Geodesy 70, 1996) on diag(1, -1) g
+    gives D_n exactly: D_n[j, k] = sum over x, y in {0, 1} of w[j, x] w[k, y]
+    (-1)^x g[x, y] D_{n-1}[j - x, k - y], w[j, 0] = sqrt((n - j) / n), w[j, 1]
+    = sqrt(j / n).  It keeps D_n[n-j, n-k] = (-1)^(n+j+k) D_n[j, k] exactly,
+    so rows 0..n//2 of D_{n-1} suffice; at even n the last is the signed
+    reversal of its neighbour.  Stepping both sides keeps d_n orthogonal to
+    rounding; stepping columns alone does not."""
     norm = math.hypot(c, s)  # rounding off 1 in g would scale d_n by norm^n
     c, s = c / norm, s / norm
-    # d_n sits at [1:n+2, 1:n+2] inside zero borders, so shifted copies are views
-    size = n_max + 2
-    buffers = np.zeros((4, size, size))
+    # D_n sits at [1:n//2+2, 1:n+2] inside zero borders, so shifted copies are views
+    buffers = np.zeros((4, n_max // 2 + 2, n_max + 2))
     prev, cur, top, low = buffers
     prev[1, 1] = 1.0
-    roots = np.sqrt(np.arange(size))
+    roots = np.sqrt(np.arange(n_max + 1))
+    signs = (-1.0) ** np.arange(2 * n_max + 2)
+    spare = top.reshape(-1)
     for n in range(1, n_max + 1):
+        h = n // 2
+        if not n % 2:  # D_{n-1}[h, k] = (-1)^(h+1+k) D_{n-1}[h-1, n-1-k]
+            np.multiply(prev[h, n:0:-1], signs[h + 1 : h + n + 1], out=prev[h + 1, 1 : n + 1])
         w = roots[: n + 1] / roots[n]  # w[k, 1]; w[::-1] is w[k, 0]
         cw, sw = np.multiply.outer((c, s), w)
-        same, shifted = prev[1 : n + 1, 1 : n + 2], prev[1 : n + 1, : n + 1]
-        scratch = cur[1 : n + 1, 1 : n + 2]  # overwritten by the last step
-        # rows x = 0, 1 of sum_y g[x, y] w[k, y] d_{n-1}[i, k - y]
-        row0 = np.multiply(same, cw[::-1], out=top[1 : n + 1, : n + 1])
+        same, shifted = prev[1 : h + 2, 1 : n + 2], prev[1 : h + 2, : n + 1]
+        scratch = cur[1 : h + 2, 1 : n + 2]  # overwritten by the last step
+        # rows x = 0, 1 of sum_y g[x, y] (-1)^x w[k, y] D_{n-1}[i, k - y]
+        row0 = np.multiply(same, cw[::-1], out=top[1 : h + 2, : n + 1])
         row0 += np.multiply(shifted, sw, out=scratch)
-        row1 = np.multiply(shifted, cw, out=low[1 : n + 1, : n + 1])
-        row1 -= np.multiply(same, sw[::-1], out=scratch)
-        # d_n[j] = w[j, 0] row0[j] + w[j, 1] row1[j - 1], zero rows at the ends
-        top[n + 1, : n + 1] = low[0, : n + 1] = 0.0
-        head, tail = top[1 : n + 2, : n + 1], low[: n + 1, : n + 1]
-        head *= w[::-1, None]
-        tail *= w[:, None]
-        yield np.add(head, tail, out=cur[1 : n + 2, 1 : n + 2]), buffers[2:]
+        row1 = np.multiply(same[:h], sw[::-1], out=low[1 : h + 1, : n + 1])
+        row1 -= np.multiply(shifted[:h], cw, out=scratch[:h])
+        # D_n[j] = w[j, 0] row0[j] + w[j, 1] row1[j - 1]; low[0] stays zero
+        head, tail = top[1 : h + 2, : n + 1], low[: h + 1, : n + 1]
+        head *= w[: n - h - 1 : -1, None]
+        tail *= w[: h + 1, None]
+        yield np.add(head, tail, out=cur[1 : h + 2, 1 : n + 2]), spare
         prev, cur = cur, prev
 
 
@@ -196,37 +210,38 @@ def gap_profile(pair: Pair, n_max: int) -> GapProfile:
     A diagonal conjugation commuting with pi(a') turns b' of _frame into
     Z g Z, g = [[|alpha|, r], [-r, |alpha|]], Z = diag(e^{i phi/2}, e^{-i phi/2}),
     phi = arg alpha.  So, after a diagonal change of basis, the level-n
-    operator is diag(cos((n - 2k) theta_a)) / 2 + cos(u_j + v_k) d_n[j, k] / 2
-    with d_n from _rotation_blocks, u_j = phi (n/2 - j) - j pi/2 and
-    v_k = phi (n/2 - k) + k pi/2: O(n^2) work per level besides _gap.  When
-    r == 0.0, b' = diag(alpha, conj alpha) and the operator is the diagonal
-    diag(cos((n - 2k) theta_a) + cos((n - 2k) phi)) / 2 itself: its zero
-    weights give exact zeros, where rounding in d_n would leave about 1e-16.
+    operator is A = diag(cos((n - 2k) theta_a)) / 2 + h_n[j + k] D_n[j, k],
+    D_n from _rotation_blocks, h_n[s] = Re(e^{i phi (n - s)} i^s) / 2: its
+    rows 0..n//2, all _gap reads, take one product with a Hankel view of h_n,
+    O(n^2) work per level besides _gap.  When r == 0.0, b' = diag(alpha,
+    conj alpha) and the operator is the diagonal diag(cos((n - 2k) theta_a)
+    + cos((n - 2k) phi)) / 2 itself: its zero weights give exact zeros, where
+    rounding in D_n would leave about 1e-16.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     theta_a, alpha, r = _frame(pair)
-    phi, k = cmath.phase(alpha), np.arange(n_max + 1)
-    left = np.exp((-1j * phi) * k) * np.array([1.0, -1j, -1.0, 1j])[k % 4]  # e^{i(u_k - phi n/2)}
-    right = left * (-1.0) ** k  # e^{i(v_k - phi n/2)}
+    phi, s = cmath.phase(alpha), np.arange(2 * n_max + 1)
+    signs = (-1.0) ** s
+    # cos((n - 2k) x) / 2 for k = 0..n//2 is cos_x[n::-2], x = theta_a, phi
+    cos_a, cos_phi = 0.5 * np.cos(np.multiply.outer((theta_a, phi), s[: n_max + 1]))
+    base = np.exp((-1j * phi) * s) * np.array([1.0, 1j, -1.0, -1j])[s % 4]  # e^{-i phi s} i^s
+    phases = np.empty_like(base)  # e^{i phi n} base / 2, so h_n = phases.real
+    hankel = np.lib.stride_tricks.sliding_window_view(phases.real, n_max + 1)
     sweep = _rotation_blocks(abs(alpha), r, n_max)  # runs only if r != 0.0
     levels = []
     for n in range(1, n_max + 1):
-        rows = n + 1 if n % 2 else n // 2 + 1  # all _gap reads
-        kr = k[:rows]
+        rows = n // 2 + 1
         if r == 0.0:
-            op = np.zeros((rows, n + 1))
-            op[kr, kr] = 0.5 * np.cos((n - 2.0 * kr) * phi)
+            flat = np.zeros(rows * (n + 1))
+            flat[:: n + 2] = cos_phi[n::-2]  # the diagonal, a strided view
         else:
             block, spare = next(sweep)
-            row_phase = (0.5 * cmath.exp(1j * phi * n)) * left[:rows, None]  # * right: e^{i(u+v)}/2
-            op = np.multiply(block[:rows], row_phase.real, out=spare[0, :rows, : n + 1])
-            tmp = np.multiply(block[:rows], row_phase.imag, out=spare[1, :rows, : n + 1])
-            op *= right[: n + 1].real
-            tmp *= right[: n + 1].imag
-            op -= tmp
-        op[kr, kr] += 0.5 * np.cos((n - 2.0 * kr) * theta_a)
-        levels.append((n, _gap(op, n)))
+            np.multiply(base[: 2 * n + 1], 0.5 * cmath.exp(1j * phi * n), out=phases[: 2 * n + 1])
+            flat = spare[: rows * (n + 1)]
+            np.multiply(hankel[:rows, : n + 1], block, out=flat.reshape(rows, n + 1))
+        flat[:: n + 2] += cos_a[n::-2]
+        levels.append((n, _gap(flat.reshape(rows, n + 1), n, signs)))
     argmin = min(levels, key=lambda item: item[1])
     return GapProfile(levels=tuple(levels), min_gap=argmin[1], argmin_level=argmin[0])
 

@@ -184,7 +184,7 @@ class TestSeededDeterminism:
         assert violation <= 1e-10
 
     def test_gap_profile_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        # the byte contract README states: up to --nmax 143 every solve is
+        # the byte contract README states: up to --nmax 286 every solve is
         # below size 145, where eigvalsh on OpenBLAS stops depending on the
         # thread count; two fresh processes, since the count is read at load
         s5 = 1.0 / math.sqrt(5.0)
@@ -200,7 +200,7 @@ class TestSeededDeterminism:
             subprocess.run(
                 [
                     sys.executable, "-c", "import sys; from su2gap.cli import main; sys.exit(main())",
-                    "gap-profile", "--pair", str(pair_file), "--nmax", "143", "--out", str(out),
+                    "gap-profile", "--pair", str(pair_file), "--nmax", "286", "--out", str(out),
                 ],
                 env=env,
                 check=True,

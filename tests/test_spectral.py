@@ -190,6 +190,39 @@ def level_gap_reference(pair: Pair, n: int) -> float:
     return 1.0 - float(np.linalg.eigvalsh(operator)[-1])
 
 
+def rotation_blocks_reference(c: float, s: float, n_max: int):
+    """Yield d_n, n = 1..n_max: the full level-n block of g = [[c, s],
+    [-s, c]] by Risbo's step on all n + 1 rows, the sweep that
+    spectral._rotation_blocks halves.  d_n[j, k] = sum over x, y in {0, 1} of
+    w[j, x] w[k, y] g[x, y] d_{n-1}[j - x, k - y], w[j, 0] = sqrt((n - j) / n),
+    w[j, 1] = sqrt(j / n).  Each d_n is a view that the next step overwrites."""
+    norm = math.hypot(c, s)
+    c, s = c / norm, s / norm
+    # d_n sits at [1:n+2, 1:n+2] inside zero borders, so shifted copies are views
+    size = n_max + 2
+    buffers = np.zeros((4, size, size))
+    prev, cur, top, low = buffers
+    prev[1, 1] = 1.0
+    roots = np.sqrt(np.arange(size))
+    for n in range(1, n_max + 1):
+        w = roots[: n + 1] / roots[n]  # w[k, 1]; w[::-1] is w[k, 0]
+        cw, sw = np.multiply.outer((c, s), w)
+        same, shifted = prev[1 : n + 1, 1 : n + 2], prev[1 : n + 1, : n + 1]
+        scratch = cur[1 : n + 1, 1 : n + 2]  # overwritten by the last step
+        # rows x = 0, 1 of sum_y g[x, y] w[k, y] d_{n-1}[i, k - y]
+        row0 = np.multiply(same, cw[::-1], out=top[1 : n + 1, : n + 1])
+        row0 += np.multiply(shifted, sw, out=scratch)
+        row1 = np.multiply(shifted, cw, out=low[1 : n + 1, : n + 1])
+        row1 -= np.multiply(same, sw[::-1], out=scratch)
+        # d_n[j] = w[j, 0] row0[j] + w[j, 1] row1[j - 1], zero rows at the ends
+        top[n + 1, : n + 1] = low[0, : n + 1] = 0.0
+        head, tail = top[1 : n + 2, : n + 1], low[: n + 1, : n + 1]
+        head *= w[::-1, None]
+        tail *= w[:, None]
+        yield np.add(head, tail, out=cur[1 : n + 2, 1 : n + 2])
+        prev, cur = cur, prev
+
+
 def profile_gaps(pair: Pair, n_max: int) -> dict[int, float]:
     """{n: gap} of gap_profile(pair, n_max)."""
     return dict(gap_profile(pair, n_max).levels)
@@ -402,15 +435,52 @@ class TestSweepAgainstPoint:
                 assert abs(gap - level_gap_reference(pair, n)) <= 1e-12, (pair, n)
 
     def test_rotation_blocks(self, rng):
+        # the sweep's rows 0..n//2 are those of the full-block reference with
+        # row j signed (-1)^j, to the bit; the reference is checked against
+        # irrep_matrix, for orthogonality and for the exact mirror identity
         pair = haar_pair(rng)
         _, alpha, r = spectral._frame(pair)
+        signs = (-1.0) ** np.arange(402)
         for c, s in ((abs(alpha), r), (0.0, 1.0), (math.cos(1e-6), math.sin(1e-6))):
             rotation = SU2Element(complex(c, 0.0), complex(s, 0.0))
-            for n, (block, _) in enumerate(spectral._rotation_blocks(c, s, 400), start=1):
+            blocks = zip(rotation_blocks_reference(c, s, 400), spectral._rotation_blocks(c, s, 400))
+            for n, (full, (half, _)) in enumerate(blocks, start=1):
                 if n <= 30:
-                    np.testing.assert_allclose(block, irrep_matrix(rotation, n), rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(full, irrep_matrix(rotation, n), rtol=0, atol=1e-12)
+                mirror = np.multiply.outer(signs[: n + 1], signs[: n + 1])
+                assert np.array_equal(full[::-1, ::-1], mirror * full), n
+                assert np.array_equal(half, signs[: n // 2 + 1, None] * full[: n // 2 + 1]), n
             assert n == 400
-            assert np.abs(block @ block.T - np.eye(401)).max() <= 1e-13
+            assert np.abs(full @ full.T - np.eye(401)).max() <= 1e-13
+
+    def test_blocks_against_characters(self, lps_pair, monkeypatch):
+        # the solved blocks against Weyl characters chi_n at every level to 400:
+        # their traces sum to tr A_n, and the squared Frobenius norms of their
+        # Hermitian completions (eigvalsh reads the lower triangle) to tr A_n^2;
+        # an odd level's Kramers block holds each eigenvalue once, so counts twice
+        solve, blocks = np.linalg.eigvalsh, []
+
+        def capture(matrix):
+            lower = np.tril(matrix)
+            blocks.append(lower + np.tril(lower, -1).conj().T)
+            return solve(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", capture)
+        gap_profile(lps_pair, 400)
+        a, b = lps_pair
+        squares = ((2.0, a * a), (2.0, b * b), (4.0, a * b), (4.0, a * inverse(b)))
+        worst_trace = worst_square = 0.0
+        for n in range(1, 401):
+            weight, level = (2.0, blocks[:1]) if n % 2 else (1.0, blocks[:2])
+            del blocks[: len(level)]
+            trace_a = (character_oracle(a, n) + character_oracle(b, n)) / 2.0
+            trace_a2 = (4.0 * (n + 1) + sum(c * character_oracle(g, n) for c, g in squares)) / 16.0
+            got_trace = weight * sum(np.trace(block).real for block in level)
+            got_square = weight * sum(np.vdot(block, block).real for block in level)
+            worst_trace = max(worst_trace, abs(got_trace - trace_a))
+            worst_square = max(worst_square, abs(got_square - trace_a2))
+        assert not blocks
+        assert worst_trace <= 1.5e-12 and worst_square <= 1.2e-11, (worst_trace, worst_square)
 
 
 BINARY_POLYHEDRAL = {
