@@ -14,11 +14,12 @@ commutator trace is the closed form su2_core.commutator_trace.
 
 from __future__ import annotations
 
-import queue
-import threading
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -35,71 +36,50 @@ from .su2_core import (
 from .trace_geometry import construct_components_from_traces
 
 _CHUNK = 1 << 18  # pairs whose first elements are drawn at once
-_RING = 4  # blocks of normals the producer thread may draw ahead
+_RING = 4  # blocks of normals live at once: the one being read and the draws ahead
 
 
 class _NormalStream:
-    """The standard normals of one Generator, drawn ahead on a daemon thread.
+    """The standard normals of one Generator, its first `planned` rows drawn
+    ahead on one worker thread.
 
     standard_normal((rows, 4)) returns the next rows of the stream, the same
-    numbers as rng.standard_normal however the calls split it.  The thread
-    fills a ring of _RING (_HAAR_BLOCK, 4) blocks, allocated once, through
-    rng.standard_normal(out=block), which releases the GIL while it fills, so
-    the reader's numpy arithmetic runs beside it.  A result may be a view of
-    a ring block and is valid until the next call.  An exception in the
-    thread is raised again by the reader.  close() stops and joins the
-    thread; the Generator is then past the rows read, by up to a ring.
+    numbers as rng.standard_normal however the calls split it.  The worker
+    draws rows [0, planned) as futures of rng.standard_normal((rows, 4)), in
+    blocks of at most _HAAR_BLOCK rows, at most _RING - 1 of them ahead of
+    the block being read; the draw releases the GIL, so the reader's numpy
+    arithmetic runs beside it.  Every block is a fresh array, so a result
+    stays valid, and future.result() raises a draw's exception in the reader.
+    Rows past `planned` (redraws of rows of norm < 1e-12) come from rng on
+    the reader's thread, once the worker's last draw is read.  close()
+    cancels the draws not started and joins the worker.
     """
 
-    def __init__(self, rng: np.random.Generator):
-        self._free, self._full = queue.SimpleQueue(), queue.SimpleQueue()
-        for _ in range(_RING):
-            self._free.put(np.empty((_HAAR_BLOCK, 4)))
-        self._block, self._used = None, _HAAR_BLOCK
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._produce, args=(rng,), daemon=True)
-        self._thread.start()
-
-    def _produce(self, rng) -> None:
-        try:
-            while (block := self._free.get()) is not None and not self._stop.is_set():
-                rng.standard_normal(out=block)
-                self._full.put(block)
-        except BaseException as exc:  # handed to the reader, which raises it
-            self._full.put(exc)
-
-    def _rows(self, rows: int) -> np.ndarray:
-        """Up to `rows` next rows, from the current block or the next one."""
-        if self._used == _HAAR_BLOCK:
-            if self._block is not None:
-                self._free.put(self._block)
-                self._block = None
-            item = self._full.get()
-            if isinstance(item, BaseException):
-                raise item
-            self._block, self._used = item, 0
-        start = self._used
-        self._used = min(_HAAR_BLOCK, start + rows)
-        return self._block[start : self._used]
+    def __init__(self, rng: np.random.Generator, planned: int):
+        self._rng, self._pool = rng, ThreadPoolExecutor(1)
+        sizes = (min(_HAAR_BLOCK, planned - start) for start in range(0, planned, _HAAR_BLOCK))
+        self._draws = (self._pool.submit(rng.standard_normal, (rows, 4)) for rows in sizes)
+        self._ahead = deque(islice(self._draws, _RING - 1))
+        self._block, self._used = np.empty((0, 4)), 0
 
     def standard_normal(self, size: tuple) -> np.ndarray:
         rows, _ = size
-        part = self._rows(rows)
-        if len(part) == rows:
-            return part
-        out, done = np.empty((rows, 4)), 0
-        while True:
-            # copied before the next _rows call hands its block back to the thread
-            out[done : done + len(part)] = part
-            done += len(part)
-            if done == rows:
-                return out
-            part = self._rows(rows - done)
+        parts = []
+        while rows:
+            if self._used == len(self._block):
+                if not self._ahead:  # past `planned`, and the worker has drawn its last row
+                    parts.append(self._rng.standard_normal((rows, 4)))
+                    break
+                self._block, self._used = self._ahead.popleft().result(), 0
+                self._ahead.extend(islice(self._draws, 1))
+            start = self._used
+            self._used = min(len(self._block), start + rows)
+            parts.append(self._block[start : self._used])
+            rows -= self._used - start
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def close(self) -> None:
-        self._stop.set()
-        self._free.put(None)  # wakes the thread if it waits for a free block
-        self._thread.join()
+        self._pool.shutdown(cancel_futures=True)
 
 
 def _haar_fricke_chunks(rng: np.random.Generator, count: int):
@@ -112,10 +92,11 @@ def _haar_fricke_chunks(rng: np.random.Generator, count: int):
     draw per chunk.  The one difference: a qb row of norm < 1e-12 (about
     1e-49 per row) takes its replacement from the end of its block, not of
     its chunk, and the law is still exactly Haar.  The normals come from a
-    _NormalStream, whose thread is joined when the generator is exhausted,
-    closed or left by an exception.
+    _NormalStream planned for the 2 * count rows of those draws, so a call
+    that runs to its end draws only the rows it reads; its worker is joined
+    when the generator is exhausted, closed or left by an exception.
     """
-    stream = _NormalStream(rng)
+    stream = _NormalStream(rng, 2 * count)
     try:
         for start in range(0, count, _CHUNK):
             size = min(_CHUNK, count - start)

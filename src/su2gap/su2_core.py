@@ -157,8 +157,7 @@ def haar_quaternions(rng: np.random.Generator, count: int) -> np.ndarray:
     goes into that block _HAAR_BLOCK rows at a time, the same stream of
     normals as one (count, 4) draw without a second copy of it.  A row of
     norm < 1e-12 takes the next rows of the stream after the whole draw.
-    Of `rng` only rng.standard_normal((rows, 4)) is called, and each result
-    is copied before the next call.
+    Of `rng` only rng.standard_normal((rows, 4)) is called.
     """
     q = np.empty((4, count))
     for start in range(0, count, _HAAR_BLOCK):

@@ -281,10 +281,10 @@ class StreamStub:
         self.rng, self.row = np.random.default_rng(seed), 0
         self.zero_rows, self.raise_after, self.error = zero_rows, raise_after, error
 
-    def standard_normal(self, size=None, out=None):
+    def standard_normal(self, size):
         if self.raise_after is not None and self.row >= self.raise_after:
             raise self.error
-        out = self.rng.standard_normal(size, out=out)
+        out = self.rng.standard_normal(size)
         for row in self.zero_rows:
             if self.row <= row < self.row + len(out):
                 out[row - self.row] = 0.0
@@ -299,9 +299,9 @@ def chunk_points(rng, count):
 
 
 class TestNormalStream:
-    """_haar_fricke_chunks reads its normals through a producer thread and
-    draws qb in _HAAR_BLOCK-pair blocks; the points and the threads it
-    leaves must not show it."""
+    """_haar_fricke_chunks reads its normals through a worker thread and
+    draws qb in _HAAR_BLOCK-pair blocks; the points, the rows drawn and the
+    threads it leaves must not show it."""
 
     @pytest.mark.parametrize("count", [1, _HAAR_BLOCK - 1, _HAAR_BLOCK + 1, _CHUNK + 17])
     def test_counts_and_mass_match_unchunked_reference(self, count):
@@ -317,12 +317,21 @@ class TestNormalStream:
     def test_reads_are_one_stream_however_split(self):
         sizes = [1, _HAAR_BLOCK - 1, 5, 3 * _HAAR_BLOCK + 2, 7, _HAAR_BLOCK]
         expected = np.random.default_rng(8).standard_normal((sum(sizes), 4))
-        stream = _NormalStream(np.random.default_rng(8))
-        try:
-            got = np.concatenate([stream.standard_normal((rows, 4)).copy() for rows in sizes])
-        finally:
-            stream.close()
-        np.testing.assert_array_equal(got, expected)
+        # the reads end before, at and past the planned rows that the worker draws
+        for planned in (sum(sizes) + _HAAR_BLOCK + 3, sum(sizes), sum(sizes) - _HAAR_BLOCK - 9, 1):
+            stream = _NormalStream(np.random.default_rng(8), planned)
+            try:
+                # no copies: every result stays valid after later reads
+                got = np.concatenate([stream.standard_normal((rows, 4)) for rows in sizes])
+            finally:
+                stream.close()
+            np.testing.assert_array_equal(got, expected, err_msg=f"planned {planned}")
+
+    @pytest.mark.parametrize("count", [1000, 5 * _HAAR_BLOCK + 3])
+    def test_a_call_draws_only_its_planned_rows(self, count):
+        stub = StreamStub(4)
+        chunk_points(stub, count)
+        assert stub.row == 2 * count
 
     def test_zero_rows_are_redrawn_from_the_end_of_their_draw(self):
         # one chunk of n pairs: qa is stream rows [0, n) with row 3 replaced

@@ -2,6 +2,7 @@
 against eigensolver and analytic oracles."""
 
 import cmath
+import collections
 import itertools
 import math
 
@@ -19,6 +20,7 @@ from su2gap import (
     apply_move,
     conjugate,
     construct_pair_from_fricke,
+    evaluate_word,
     gap_profile,
     haar_pair,
     haar_sample,
@@ -481,6 +483,39 @@ class TestSweepAgainstPoint:
             worst_square = max(worst_square, abs(got_square - trace_a2))
         assert not blocks
         assert worst_trace <= 1.5e-12 and worst_square <= 1.2e-11, (worst_trace, worst_square)
+
+    def test_solved_spectra_against_character_moments(self, lps_pair, monkeypatch):
+        # at deep levels, sum(lambda^k) over the eigenvalues that eigvalsh
+        # returns for the half blocks, k <= 6, against tr A_n^k = 4^-k times
+        # the sum of chi_n over the 4^k words of length k, so the solves are
+        # checked as well as the blocks; an odd level's Kramers block holds
+        # each eigenvalue once, so counts twice
+        deep, n_max = (199, 200, 301), 301
+        solve, spectra = np.linalg.eigvalsh, {n: [] for n in deep}
+        solves = iter([n for n in range(1, n_max + 1) for _ in range(2 - n % 2)])
+
+        def capture(matrix):
+            values, n = solve(matrix), next(solves)
+            if n in spectra:
+                spectra[n].append(values)
+            return values
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", capture)
+        gap_profile(lps_pair, n_max)
+        assert next(solves, None) is None
+        for k in range(1, 7):
+            # the LPS pair generates a free group, so only the empty reduced word is
+            # +-1, where character_oracle would divide by sin(0)
+            words = collections.Counter(
+                reduce_letters(letters) for letters in itertools.product((1, -1, 2, -2), repeat=k)
+            )
+            for n in deep:
+                chi = sum(
+                    count * (character_oracle(evaluate_word(Word(w), lps_pair), n) if w else n + 1)
+                    for w, count in words.items()
+                )
+                got = (1 + n % 2) * sum(float(np.sum(values**k)) for values in spectra[n])
+                assert abs(got - chi / 4.0**k) <= 1e-11, (n, k, got, chi / 4.0**k)
 
 
 BINARY_POLYHEDRAL = {
