@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import islice
@@ -35,7 +34,6 @@ from .su2_core import (
 )
 from .trace_geometry import construct_components_from_traces
 
-_CHUNK = 1 << 18  # pairs whose first elements are drawn at once
 _RING = 4  # blocks of normals live at once: the one being read and the draws ahead
 
 
@@ -56,6 +54,7 @@ class _NormalStream:
     """
 
     def __init__(self, rng: np.random.Generator, planned: int):
+        from concurrent.futures import ThreadPoolExecutor  # loaded only by calls that draw pairs
         self._rng, self._pool = rng, ThreadPoolExecutor(1)
         sizes = (min(_HAAR_BLOCK, planned - start) for start in range(0, planned, _HAAR_BLOCK))
         self._draws = (self._pool.submit(rng.standard_normal, (rows, 4)) for rows in sizes)
@@ -86,25 +85,20 @@ def _haar_fricke_chunks(rng: np.random.Generator, count: int):
     """(x, t) coordinates of `count` Haar pairs, yielded in blocks of at most
     _HAAR_BLOCK pairs.
 
-    Each _CHUNK of pairs draws qa = haar_quaternions(stream, size), then qb
-    as haar_quaternions(stream, rows) for each block of qa's rows, so the
-    stream of normals and the qa/qb pairing are those of one qa and one qb
-    draw per chunk.  The one difference: a qb row of norm < 1e-12 (about
-    1e-49 per row) takes its replacement from the end of its block, not of
-    its chunk, and the law is still exactly Haar.  The normals come from a
-    _NormalStream planned for the 2 * count rows of those draws, so a call
-    that runs to its end draws only the rows it reads; its worker is joined
-    when the generator is exhausted, closed or left by an exception.
+    Each block of n pairs is one draw q = haar_quaternions(stream, 2 n): its
+    first n rows are the first elements a and its last n rows the second
+    elements b, so every row, a redrawn one too, follows haar_quaternions'
+    rule.  The normals come from a _NormalStream planned for the 2 * count
+    rows of those draws, so a call that runs to its end draws only the rows
+    it reads; its worker is joined when the generator is exhausted, closed or
+    left by an exception.
     """
     stream = _NormalStream(rng, 2 * count)
     try:
-        for start in range(0, count, _CHUNK):
-            size = min(_CHUNK, count - start)
-            qa = haar_quaternions(stream, size)
-            for s in range(0, size, _HAAR_BLOCK):
-                e = min(s + _HAAR_BLOCK, size)
-                qb = haar_quaternions(stream, e - s)
-                yield 2.0 * qa[s:e, 0], commutator_trace(qa.T[1:, s:e], qb.T[1:])
+        for start in range(0, count, _HAAR_BLOCK):
+            n = min(_HAAR_BLOCK, count - start)
+            q = haar_quaternions(stream, 2 * n).T
+            yield 2.0 * q[0, :n], commutator_trace(q[1:, :n], q[1:, n:])
     finally:
         stream.close()
 

@@ -1,6 +1,7 @@
 """Pushforward histograms, boundary mass, fiber sampling, and transport."""
 
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,7 +30,6 @@ from su2gap import (
 )
 from su2gap import measure_lab
 from su2gap.measure_lab import (
-    _CHUNK,
     _NormalStream,
     _cell_counts,
     _count_near,
@@ -234,9 +234,10 @@ def unchunked_fricke_reference(count, seed):
     over the whole sample at once."""
     rng = np.random.default_rng(seed)
     draws = []
-    for start in range(0, count, _CHUNK):
-        size = min(_CHUNK, count - start)
-        draws.append((haar_quaternions(rng, size), haar_quaternions(rng, size)))
+    for start in range(0, count, _HAAR_BLOCK):
+        n = min(_HAAR_BLOCK, count - start)
+        q = haar_quaternions(rng, 2 * n)
+        draws.append((q[:n], q[n:]))
     qa = np.concatenate([d[0] for d in draws])
     qb = np.concatenate([d[1] for d in draws])
 
@@ -255,8 +256,8 @@ def unchunked_fricke_reference(count, seed):
 
 
 class TestChunking:
-    # one sample past a chunk boundary, so two chunks are drawn
-    COUNT = _CHUNK + 17
+    # past three block boundaries, so the last of four blocks is short
+    COUNT = 3 * _HAAR_BLOCK + 17
 
     def test_boundary_mass_matches_unchunked_reference(self):
         xs, ts = unchunked_fricke_reference(self.COUNT, seed=7)
@@ -300,10 +301,10 @@ def chunk_points(rng, count):
 
 class TestNormalStream:
     """_haar_fricke_chunks reads its normals through a worker thread and
-    draws qb in _HAAR_BLOCK-pair blocks; the points, the rows drawn and the
-    threads it leaves must not show it."""
+    draws the a and b rows of each _HAAR_BLOCK-pair block together; the
+    points, the rows drawn and the threads it leaves must not show it."""
 
-    @pytest.mark.parametrize("count", [1, _HAAR_BLOCK - 1, _HAAR_BLOCK + 1, _CHUNK + 17])
+    @pytest.mark.parametrize("count", [1, _HAAR_BLOCK - 1, _HAAR_BLOCK + 1, (1 << 18) + 17])
     def test_counts_and_mass_match_unchunked_reference(self, count):
         xs, ts = unchunked_fricke_reference(count, seed=5)
         expected, _, _ = np.histogram2d(
@@ -334,18 +335,18 @@ class TestNormalStream:
         assert stub.row == 2 * count
 
     def test_zero_rows_are_redrawn_from_the_end_of_their_draw(self):
-        # one chunk of n pairs: qa is stream rows [0, n) with row 3 replaced
-        # by row n; qb's first block is the next B rows, with its row 7
-        # replaced by the row after the block, which is 0 as well and so is
-        # replaced by the row after it; the second block is the 5 rows after that
-        n, b = _HAAR_BLOCK + 5, _HAAR_BLOCK
-        first_qb = n + 1
-        zero_rows = (3, first_qb + 7, first_qb + b)
-        rows = np.random.default_rng(6).standard_normal((n + b + 8, 4))
-        qa = rows[:n].copy()
-        qa[3] = rows[n]
-        qb = np.concatenate([rows[first_qb : first_qb + b], rows[first_qb + b + 2 : first_qb + b + 7]])
-        qb[7] = rows[first_qb + b + 1]
+        # n pairs in two blocks.  The first is stream rows [0, 2B): a is rows
+        # [0, B) with row 3 replaced by row 2B, b is rows [B, 2B) with row 7
+        # replaced by row 2B + 1, which is 0 as well and so is replaced by row
+        # 2B + 2.  The second block is the next 10 rows, its b row 2 replaced
+        # by the row after them, read past the rows planned for the call.
+        b = _HAAR_BLOCK
+        n, second = b + 5, 2 * b + 3
+        zero_rows = (3, b + 7, 2 * b + 1, second + 5 + 2)
+        rows = np.random.default_rng(6).standard_normal((second + 11, 4))
+        qa = np.concatenate([rows[:b], rows[second : second + 5]])
+        qb = np.concatenate([rows[b : 2 * b], rows[second + 5 : second + 10]])
+        qa[3], qb[7], qb[b + 2] = rows[2 * b], rows[2 * b + 2], rows[second + 10]
         expected = fricke_points(*(q / np.linalg.norm(q, axis=1)[:, None] for q in (qa, qb)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -360,7 +361,7 @@ class TestNormalStream:
         boundary_mass(3 * _HAAR_BLOCK, 0.05, seed=1)
         assert threading.active_count() == baseline
 
-        chunks = _haar_fricke_chunks(np.random.default_rng(1), _CHUNK)
+        chunks = _haar_fricke_chunks(np.random.default_rng(1), 4 * _HAAR_BLOCK)
         next(chunks)
         chunks.close()
         assert threading.active_count() == baseline
@@ -379,8 +380,24 @@ class TestNormalStream:
         baseline = threading.active_count()
         stub = StreamStub(2, raise_after=3 * _HAAR_BLOCK, error=FloatingPointError("draw failed"))
         with pytest.raises(FloatingPointError, match="draw failed"):
-            chunk_points(stub, _CHUNK)
+            chunk_points(stub, 4 * _HAAR_BLOCK)
         assert threading.active_count() == baseline
+
+
+class TestMemory:
+    """A call holds a few blocks of pairs at once, whatever its sample count."""
+
+    @pytest.mark.parametrize(
+        "call, arg", [(pushforward_histogram, 12), (boundary_mass, 0.05)], ids=["histogram", "mass"]
+    )
+    def test_traced_peak_is_bounded(self, call, arg):
+        tracemalloc.start()
+        try:
+            call(2**20 + 1, arg, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestCellCounts:
