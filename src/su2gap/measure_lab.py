@@ -15,18 +15,16 @@ commutator trace is the closed form su2_core.commutator_trace.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from .errors import DegenerateFiberWarning
 from .su2_core import (
-    _HAAR_BLOCK,
     Pair,
     SU2Element,
+    _unit_components,
     commutator_trace,
     complex_rows,
     haar_quaternions,
@@ -34,73 +32,37 @@ from .su2_core import (
 )
 from .trace_geometry import construct_components_from_traces
 
-_RING = 4  # blocks of normals live at once: the one being read and the draws ahead
-
-
-class _NormalStream:
-    """The standard normals of one Generator, its first `planned` rows drawn
-    ahead on one worker thread.
-
-    standard_normal((rows, 4)) returns the next rows of the stream, the same
-    numbers as rng.standard_normal however the calls split it.  The worker
-    draws rows [0, planned) as futures of rng.standard_normal((rows, 4)), in
-    blocks of at most _HAAR_BLOCK rows, at most _RING - 1 of them ahead of
-    the block being read; the draw releases the GIL, so the reader's numpy
-    arithmetic runs beside it.  Every block is a fresh array, so a result
-    stays valid, and future.result() raises a draw's exception in the reader.
-    Rows past `planned` (redraws of rows of norm < 1e-12) come from rng on
-    the reader's thread, once the worker's last draw is read.  close()
-    cancels the draws not started and joins the worker.
-    """
-
-    def __init__(self, rng: np.random.Generator, planned: int):
-        from concurrent.futures import ThreadPoolExecutor  # loaded only by calls that draw pairs
-        self._rng, self._pool = rng, ThreadPoolExecutor(1)
-        sizes = (min(_HAAR_BLOCK, planned - start) for start in range(0, planned, _HAAR_BLOCK))
-        self._draws = (self._pool.submit(rng.standard_normal, (rows, 4)) for rows in sizes)
-        self._ahead = deque(islice(self._draws, _RING - 1))
-        self._block, self._used = np.empty((0, 4)), 0
-
-    def standard_normal(self, size: tuple) -> np.ndarray:
-        rows, _ = size
-        parts = []
-        while rows:
-            if self._used == len(self._block):
-                if not self._ahead:  # past `planned`, and the worker has drawn its last row
-                    parts.append(self._rng.standard_normal((rows, 4)))
-                    break
-                self._block, self._used = self._ahead.popleft().result(), 0
-                self._ahead.extend(islice(self._draws, 1))
-            start = self._used
-            self._used = min(len(self._block), start + rows)
-            parts.append(self._block[start : self._used])
-            rows -= self._used - start
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    def close(self) -> None:
-        self._pool.shutdown(cancel_futures=True)
+_HAAR_BLOCK = 1 << 14  # pairs per block of the Haar pushforward
 
 
 def _haar_fricke_chunks(rng: np.random.Generator, count: int):
     """(x, t) coordinates of `count` Haar pairs, yielded in blocks of at most
     _HAAR_BLOCK pairs.
 
-    Each block of n pairs is one draw q = haar_quaternions(stream, 2 n): its
-    first n rows are the first elements a and its last n rows the second
-    elements b, so every row, a redrawn one too, follows haar_quaternions'
-    rule.  The normals come from a _NormalStream planned for the 2 * count
-    rows of those draws, so a call that runs to its end draws only the rows
-    it reads; its worker is joined when the generator is exhausted, closed or
-    left by an exception.
+    Each block of n pairs is one draw rng.standard_normal((2 n, 4)), made
+    into unit quaternions by su2_core._unit_components: its first n rows are
+    the first elements a and its last n rows the second elements b.  The
+    draws run on one worker thread, one block ahead of the block being read;
+    the draw releases the GIL, so the reader's arithmetic runs beside it,
+    and future.result() raises a draw's exception in the reader.  A call
+    reads exactly the first 2 * count rows of rng's stream, since a row of
+    norm < 1e-12 is redrawn from a child generator.  The worker is joined
+    when the generator is exhausted, closed or left by an exception.
     """
-    stream = _NormalStream(rng, 2 * count)
-    try:
+    from concurrent.futures import ThreadPoolExecutor  # loaded only by calls that draw pairs
+
+    def draw(start):
+        return pool.submit(rng.standard_normal, (2 * min(_HAAR_BLOCK, count - start), 4))
+
+    with ThreadPoolExecutor(1) as pool:
+        ahead = draw(0)
         for start in range(0, count, _HAAR_BLOCK):
-            n = min(_HAAR_BLOCK, count - start)
-            q = haar_quaternions(stream, 2 * n).T
+            normals = ahead.result()
+            ahead = draw(start + _HAAR_BLOCK) if start + _HAAR_BLOCK < count else None
+            q = _unit_components(rng, normals)
+            del normals  # copied into q; only the draw ahead stays live
+            n = q.shape[1] // 2
             yield 2.0 * q[0, :n], commutator_trace(q[1:, :n], q[1:, n:])
-    finally:
-        stream.close()
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,7 +19,6 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 APPROX_TOL = 1e-10
-_HAAR_BLOCK = 1 << 14  # rows of normals drawn at a time
 
 
 @dataclass(frozen=True)
@@ -147,30 +146,37 @@ def conjugate(g: SU2Element, k: SU2Element) -> SU2Element:
 def haar_quaternions(rng: np.random.Generator, count: int) -> np.ndarray:
     """(count, 4) array of unit quaternions uniform on the 3-sphere.
 
-    Gaussian draw followed by normalization; rows with negligible norm are
-    redrawn so the result is always well defined.  The values are those of
-    q / np.linalg.norm(q, axis=1)[:, None] for the draw
-    q = rng.standard_normal((count, 4)): the norm is summed in
-    np.linalg.norm's order, ((w^2 + x^2) + y^2) + z^2.  The result is the
-    transposed view of a C-contiguous (4, count) block, so each component
-    column (a row of `.T`) is contiguous for the array products.  The draw
-    goes into that block _HAAR_BLOCK rows at a time, the same stream of
-    normals as one (count, 4) draw without a second copy of it.  A row of
-    norm < 1e-12 takes the next rows of the stream after the whole draw.
-    Of `rng` only rng.standard_normal((rows, 4)) is called.
+    One draw q = rng.standard_normal((count, 4)), normalized by
+    _unit_components, so the values are those of
+    q / np.linalg.norm(q, axis=1)[:, None].  The result is the transposed
+    view of a C-contiguous (4, count) block, so each component column (a row
+    of `.T`) is contiguous for the array products.  A call reads exactly
+    `count` rows of rng's stream: a row of norm < 1e-12 (about 1e-49 per row)
+    is redrawn from a child generator, rng.spawn(1)[0].
     """
-    q = np.empty((4, count))
-    for start in range(0, count, _HAAR_BLOCK):
-        rows = min(_HAAR_BLOCK, count - start)
-        q[:, start : start + rows] = rng.standard_normal((rows, 4)).T
+    return _unit_components(rng, rng.standard_normal((count, 4))).T
+
+
+def _unit_components(rng: np.random.Generator, normals: np.ndarray) -> np.ndarray:
+    """The rows of the (rows, 4) draw `normals` as unit quaternions, in
+    C-contiguous (4, rows) component rows.
+
+    The norm is summed in np.linalg.norm's order, ((w^2 + x^2) + y^2) + z^2.
+    Rows of norm < 1e-12 are redrawn, until none is left, from one child
+    generator rng.spawn(1)[0], spawned only when such a row occurs, so the
+    call reads nothing more of rng's own stream.
+    """
+    q = np.ascontiguousarray(normals.T)
+    child = None
     while True:
         norms = np.sqrt(((q[0] * q[0] + q[1] * q[1]) + q[2] * q[2]) + q[3] * q[3])
         bad = norms < 1e-12
         if not bad.any():
             break
-        q[:, bad] = rng.standard_normal((int(bad.sum()), 4)).T
+        child = child or rng.spawn(1)[0]
+        q[:, bad] = child.standard_normal((int(bad.sum()), 4)).T
     q /= norms
-    return q.T
+    return q
 
 
 def haar_sample(rng: np.random.Generator) -> SU2Element:

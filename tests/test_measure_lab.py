@@ -30,13 +30,13 @@ from su2gap import (
 )
 from su2gap import measure_lab
 from su2gap.measure_lab import (
-    _NormalStream,
+    _HAAR_BLOCK,
     _cell_counts,
     _count_near,
     _haar_fricke_chunks,
     _parabola_segment_distance,
 )
-from su2gap.su2_core import _HAAR_BLOCK, commutator_trace, haar_quaternions
+from su2gap.su2_core import commutator_trace, haar_quaternions
 
 # chi-square 0.999 quantile at 49 degrees of freedom
 CHI2_CRIT_49_999 = 85.3505646085
@@ -276,11 +276,14 @@ class TestChunking:
 
 class StreamStub:
     """A Generator whose normal rows at the stream positions in `zero_rows`
-    are 0, and whose draw raises `error` once `raise_after` rows are out."""
+    are 0, and whose draw raises `error` once `raise_after` rows are out.
+    Its children (spawn) are StreamStubs of the Generator's own children,
+    with the zero rows `child_zero_rows`."""
 
-    def __init__(self, seed, zero_rows=(), raise_after=None, error=None):
-        self.rng, self.row = np.random.default_rng(seed), 0
+    def __init__(self, rng, zero_rows=(), raise_after=None, error=None, child_zero_rows=()):
+        self.rng, self.row, self.children = np.random.default_rng(rng), 0, []
         self.zero_rows, self.raise_after, self.error = zero_rows, raise_after, error
+        self.child_zero_rows = child_zero_rows
 
     def standard_normal(self, size):
         if self.raise_after is not None and self.row >= self.raise_after:
@@ -292,6 +295,11 @@ class StreamStub:
         self.row += len(out)
         return out
 
+    def spawn(self, n_children):
+        children = [StreamStub(g, self.child_zero_rows) for g in self.rng.spawn(n_children)]
+        self.children += children
+        return children
+
 
 def chunk_points(rng, count):
     """(x, t) of all blocks of _haar_fricke_chunks, concatenated."""
@@ -300,9 +308,9 @@ def chunk_points(rng, count):
 
 
 class TestNormalStream:
-    """_haar_fricke_chunks reads its normals through a worker thread and
-    draws the a and b rows of each _HAAR_BLOCK-pair block together; the
-    points, the rows drawn and the threads it leaves must not show it."""
+    """_haar_fricke_chunks draws the normals of each _HAAR_BLOCK-pair block,
+    its a and b rows together, on a worker thread; the points, the rows
+    drawn and the threads it leaves must not show it."""
 
     @pytest.mark.parametrize("count", [1, _HAAR_BLOCK - 1, _HAAR_BLOCK + 1, (1 << 18) + 17])
     def test_counts_and_mass_match_unchunked_reference(self, count):
@@ -315,44 +323,44 @@ class TestNormalStream:
         for delta in (1e-6, 0.05, 0.3):
             assert boundary_mass(count, delta, seed=5) == float(np.mean(boundary_distance(xs, ts) <= delta))
 
-    def test_reads_are_one_stream_however_split(self):
-        sizes = [1, _HAAR_BLOCK - 1, 5, 3 * _HAAR_BLOCK + 2, 7, _HAAR_BLOCK]
-        expected = np.random.default_rng(8).standard_normal((sum(sizes), 4))
-        # the reads end before, at and past the planned rows that the worker draws
-        for planned in (sum(sizes) + _HAAR_BLOCK + 3, sum(sizes), sum(sizes) - _HAAR_BLOCK - 9, 1):
-            stream = _NormalStream(np.random.default_rng(8), planned)
-            try:
-                # no copies: every result stays valid after later reads
-                got = np.concatenate([stream.standard_normal((rows, 4)) for rows in sizes])
-            finally:
-                stream.close()
-            np.testing.assert_array_equal(got, expected, err_msg=f"planned {planned}")
-
-    @pytest.mark.parametrize("count", [1000, 5 * _HAAR_BLOCK + 3])
-    def test_a_call_draws_only_its_planned_rows(self, count):
-        stub = StreamStub(4)
+    @pytest.mark.parametrize(
+        "count, zero_rows",
+        [
+            pytest.param(1000, (), id="1000"),
+            pytest.param(5 * _HAAR_BLOCK + 3, (), id="81923"),
+            # rows below the norm floor in the first, a middle and the last block
+            pytest.param(5 * _HAAR_BLOCK + 3, (7, 4 * _HAAR_BLOCK + 1, 10 * _HAAR_BLOCK + 5), id="zero-rows"),
+        ],
+    )
+    def test_a_call_draws_only_its_planned_rows(self, count, zero_rows):
+        stub = StreamStub(4, zero_rows=zero_rows)
         chunk_points(stub, count)
         assert stub.row == 2 * count
+        assert len(stub.children) == (3 if zero_rows else 0)
 
-    def test_zero_rows_are_redrawn_from_the_end_of_their_draw(self):
+    def test_zero_rows_are_redrawn_from_a_child_generator(self):
         # n pairs in two blocks.  The first is stream rows [0, 2B): a is rows
-        # [0, B) with row 3 replaced by row 2B, b is rows [B, 2B) with row 7
-        # replaced by row 2B + 1, which is 0 as well and so is replaced by row
-        # 2B + 2.  The second block is the next 10 rows, its b row 2 replaced
-        # by the row after them, read past the rows planned for the call.
+        # [0, B), b is rows [B, 2B).  Its zero rows, a's row 3 and b's row 7,
+        # are replaced by rows 0 and 1 of the block's child generator; child
+        # row 1 is 0 as well, so b's row 7 takes child row 2.  The second
+        # block is the next 10 rows, and its b row 2 takes row 0 of a second
+        # child.  The call reads no row of the stream past the 2n it plans.
         b = _HAAR_BLOCK
-        n, second = b + 5, 2 * b + 3
-        zero_rows = (3, b + 7, 2 * b + 1, second + 5 + 2)
-        rows = np.random.default_rng(6).standard_normal((second + 11, 4))
+        n, second = b + 5, 2 * b
+        stub = StreamStub(6, zero_rows=(3, b + 7, second + 5 + 2), child_zero_rows=(1,))
+        rows = np.random.default_rng(6).standard_normal((second + 10, 4))
+        first_child, second_child = (g.standard_normal((3, 4)) for g in np.random.default_rng(6).spawn(2))
         qa = np.concatenate([rows[:b], rows[second : second + 5]])
-        qb = np.concatenate([rows[b : 2 * b], rows[second + 5 : second + 10]])
-        qa[3], qb[7], qb[b + 2] = rows[2 * b], rows[2 * b + 2], rows[second + 10]
+        qb = np.concatenate([rows[b:second], rows[second + 5 :]])
+        qa[3], qb[7], qb[b + 2] = first_child[0], first_child[2], second_child[0]
         expected = fricke_points(*(q / np.linalg.norm(q, axis=1)[:, None] for q in (qa, qb)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = chunk_points(StreamStub(6, zero_rows=zero_rows), n)
+            got = chunk_points(stub, n)
         for g, e in zip(got, expected):
             np.testing.assert_array_equal(g, e)
+        assert stub.row == 2 * n
+        assert [child.row for child in stub.children] == [3, 1]
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
         baseline = threading.active_count()

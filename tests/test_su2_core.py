@@ -145,8 +145,12 @@ class TestHaarSampling:
         # is 1 and its mean 0 by quadrature
         xs = np.linspace(-2.0, 2.0, 200001)
         density = np.sqrt(np.clip(4.0 - xs * xs, 0.0, None)) / (2.0 * np.pi)
-        assert abs(np.trapezoid(density, xs) - 1.0) < 1e-6
-        assert abs(np.trapezoid(xs * density, xs)) < 1e-12
+
+        def trapezoid(ys):
+            return float(np.sum((ys[1:] + ys[:-1]) * np.diff(xs)) / 2.0)
+
+        assert abs(trapezoid(density) - 1.0) < 1e-6
+        assert abs(trapezoid(xs * density)) < 1e-12
 
         traces = 2.0 * haar_quaternions(np.random.default_rng(11), 100000)[:, 0]
         assert abs(traces.mean()) < 0.02
@@ -170,8 +174,7 @@ class TestHaarSampling:
 
     def test_quaternions_are_the_normalized_gaussian_draw(self):
         # oracle: one (count, 4) Gaussian draw divided by np.linalg.norm of
-        # its rows; drawing in row blocks must keep these bits, on both sides
-        # of the 2^14-row block
+        # its rows
         for count in (1, 5000, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 100001):
             q = np.random.default_rng(9).standard_normal((count, 4))
             expected = q / np.linalg.norm(q, axis=1)[:, None]
@@ -182,25 +185,31 @@ class TestHaarSampling:
     @pytest.mark.parametrize("bad_row", [[0.0, 0.0, 0.0, 0.0], [1e-13, 0.0, -1e-13, 0.0]])
     def test_rows_below_the_norm_floor_are_redrawn(self, bad_draws, bad_row):
         # the first `bad_draws` draws put a row of norm < 1e-12 at row 2 (the
-        # first draw) and row 0 (each one-row redraw); the oracle is the draws
-        # spliced by hand and divided by np.linalg.norm of their rows
+        # first draw) and row 0 (each one-row redraw); the redraws come from
+        # one child generator, and the oracle is the draws spliced by hand and
+        # divided by np.linalg.norm of their rows
         class FloorStub:
-            def __init__(self):
-                self.rng, self.draws = np.random.default_rng(4), []
+            def __init__(self, rng, draws):
+                self.rng, self.draws, self.children = rng, draws, []
 
             def standard_normal(self, size):
                 q = self.rng.standard_normal(size)
                 if len(self.draws) < bad_draws:
                     q[2 if not self.draws else 0] = bad_row
-                self.draws.append(q.copy())
+                self.draws.append((self, q.copy()))
                 return q
 
-        stub = FloorStub()
+            def spawn(self, n_children):
+                self.children += [FloorStub(g, self.draws) for g in self.rng.spawn(n_children)]
+                return self.children[-n_children:]
+
+        stub = FloorStub(np.random.default_rng(4), [])
         got = haar_quaternions(stub, 6)
-        first, *redraws = stub.draws
-        assert [r.shape for r in redraws] == [(1, 4)] * bad_draws
+        (parent, first), *redraws = stub.draws
+        assert parent is stub and first.shape == (6, 4) and len(stub.children) == 1
+        assert [(owner, r.shape) for owner, r in redraws] == [(stub.children[0], (1, 4))] * bad_draws
         spliced = first.copy()
-        spliced[2] = redraws[-1][0]
+        spliced[2] = redraws[-1][1][0]
         np.testing.assert_array_equal(got, spliced / np.linalg.norm(spliced, axis=1)[:, None])
 
     def test_component_columns_are_contiguous(self, rng):
