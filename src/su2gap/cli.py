@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_density)
 
     sub = commands.add_parser(
-        "fiber-sample", help="pairs with a prescribed commutator trace"
+        "fiber-sample", help="Haar pairs conditioned on their commutator trace"
     )
     sub.add_argument("--t", type=float, required=True)
     sub.add_argument("--count", type=int, default=100)

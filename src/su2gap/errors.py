@@ -16,7 +16,3 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, level: int | None = None):
         super().__init__(message)
         self.level = level
-
-
-class DegenerateFiberWarning(UserWarning):
-    """The fiber being sampled collapses to a single conjugacy class."""

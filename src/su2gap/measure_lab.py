@@ -1,9 +1,9 @@
 """Monte Carlo checks of the measure-level claims in trace coordinates.
 
 Provides the empirical pushforward of Haar measure under the projection to
-(tr(a), tr([a, b])), the mass near the boundary of the domain D, approximate
-sampling of commutator-trace fibers, and the transport of a fiber under
-squaring the first generator.
+(tr(a), tr([a, b])), the mass near the boundary of the domain D, exact
+sampling of Haar measure conditioned on a commutator-trace fiber, and the
+transport of a fiber under squaring the first generator.
 
 Every sampler works on flat arrays of quaternion components (w, x, y, z),
 one numpy pass per block of Haar pairs or per fiber, so no per-sample Python
@@ -14,13 +14,11 @@ commutator trace is the closed form su2_core.commutator_trace.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFiberWarning
 from .su2_core import (
     Pair,
     SU2Element,
@@ -30,7 +28,6 @@ from .su2_core import (
     haar_quaternions,
     quaternion_product,
 )
-from .trace_geometry import construct_components_from_traces
 
 _HAAR_BLOCK = 1 << 14  # pairs per block of the Haar pushforward
 
@@ -219,68 +216,52 @@ def boundary_mass(sample_count: int, delta: float, seed: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _fiber_triples(rng: np.random.Generator, t: float, count: int):
-    """Trace triples (x, y, z) of `count` fiber points at t, as arrays, in
-    (plane draw, z_plus before z_minus) order."""
-    parts, found = [], 0
-    while found < count:
-        draw = max(1024, 2 * (count - found))
-        xy = rng.uniform(-2.0, 2.0, size=(draw, 2))
-        x, y = xy[:, 0], xy[:, 1]
-        disc = x * x * y * y - 4.0 * (x * x + y * y - 2.0 - t)
-        has_roots = disc >= 0.0
-        sqrt_disc = np.sqrt(np.where(has_roots, disc, 0.0))
-        z = np.stack([(x * y + sqrt_disc) / 2.0, (x * y - sqrt_disc) / 2.0], axis=1)
-        keep = np.stack([has_roots, disc > 0.0], axis=1) & (np.abs(z) <= 2.0)
-        flat = np.flatnonzero(keep)[: count - found]
-        rows = flat // 2
-        parts.append((x[rows], y[rows], z.ravel()[flat]))
-        found += len(flat)
-    return tuple(np.concatenate(column) for column in zip(*parts))
-
-
 def _fiber_components(t: float, count: int, seed: int):
     """Quaternion components ((w, x, y, z) of a, (w, x, y, z) of b), as arrays,
-    of `count` pairs on the fiber at t before conjugation, and the generator
-    of the conjugators; see sample_fiber for the construction and its random
-    streams."""
+    of `count` pairs drawn from Haar measure given tr[a, b] = t, in the frame
+    where a = (sin angle, cos angle, 0, 0), and the generator of the
+    conjugators; see sample_fiber for the law and its random streams."""
     t = float(t)
     if not -2.0 <= t <= 2.0:
         raise ValueError(f"t = {t!r} must lie in [-2, 2]")
     if count < 1:
         raise ValueError("count must be at least 1")
-    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
-    rng_plane, rng_conj = streams
-
-    if t <= -2.0 + 1e-12:
-        warnings.warn(
-            "the fiber at t = -2 is a single conjugacy class; returning "
-            "conjugates of the (0, 0, 0) construction",
-            DegenerateFiberWarning,
-            stacklevel=3,
-        )
-        triples = (np.zeros(count),) * 3
-    else:
-        triples = _fiber_triples(rng_plane, t, count)
-    return construct_components_from_traces(*triples), rng_conj
+    rng_frame, rng_conj = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+    u = rng_frame.random((3, count))
+    angle = np.arccos(np.sqrt(2.0 - t) / 2.0) * (2.0 * u[0] - 1.0)
+    cos = np.cos(angle)
+    r = np.minimum(1.0, (2.0 - t) / (4.0 * cos * cos))
+    along, across = np.sqrt(1.0 - r), np.sqrt(r)
+    psi = 2.0 * np.pi * u[1:]
+    zero = np.zeros(count)
+    a = (np.sin(angle), cos, zero, zero)
+    b = (along * np.cos(psi[0]), along * np.sin(psi[0]), across * np.cos(psi[1]), across * np.sin(psi[1]))
+    return (a, b), rng_conj
 
 
 def sample_fiber(t: float, count: int, seed: int) -> list[Pair]:
-    """Pairs whose commutator trace equals t, spread over the fiber.
+    """Pairs drawn from Haar measure conditioned on tr([a, b]) = t.
 
-    Draws (x, y) uniformly on [-2, 2]^2, solves the quadratic
+    Conjugate a Haar pair so that a = cos(theta) + sin(theta) i, and let r be
+    the squared norm of the part of Im b across i.  Under Haar measure theta
+    has density (2/pi) sin^2(theta) on [0, pi], r is uniform on [0, 1] and
+    independent of theta, and both phases of b are uniform; t = 2 - 4
+    sin^2(theta) r.  Given t, theta is therefore uniform on
+    [theta0, pi - theta0] with sin^2(theta0) = (2 - t)/4, and
+    r = (2 - t)/(4 sin^2(theta)).  The draw centres theta at pi/2: with
+    angle = pi/2 - theta uniform on [-h, h], h = arccos(sqrt(2 - t)/2),
 
-        z^2 - x y z + (x^2 + y^2 - 2 - t) = 0
+        a = (sin angle, cos angle, 0, 0),
+        b = (sqrt(1-r) cos psi1, sqrt(1-r) sin psi1, sqrt(r) cos psi2, sqrt(r) sin psi2),
 
-    for z (keeping both real roots with |z| <= 2, to avoid biasing the
-    fiber), reconstructs a pair from the trace triple, and conjugates it by
-    an independent Haar element.  The result is a measure supported on the
-    whole fiber, not the conditional law of Haar measure given t; support
-    coverage is the property downstream checks rely on.
+    with psi1, psi2 uniform phases, and each pair is then conjugated by an
+    independent Haar element.  cos(angle) > 0, so r needs no guard but the
+    clip to 1; at t = -2, h = 0 and a = i exactly, and at t = 2, r = 0 and
+    every pair commutes exactly.
 
-    At t = -2 the admissible triples collapse to (0, 0, 0); that degenerate
-    fiber is sampled as Haar conjugates of the single construction and a
-    DegenerateFiberWarning is issued.
+    The seed is split by SeedSequence.spawn(2): the first stream gives one
+    rng.random((3, count)) draw of (angle, psi1, psi2), the second the
+    Haar conjugators.
     """
     (a, b), rng_conj = _fiber_components(t, count, seed)
     k = tuple(haar_quaternions(rng_conj, count).T)
@@ -309,8 +290,10 @@ def fiber_transport_demo(
 ) -> TransportHistogram:
     """Histogram of tr([a^2, b]) over samples of the fiber at t.
 
-    All transported values lie in [t^2 - 2, 2] up to arithmetic error, and
-    their support fills the interval as the sample count grows.
+    The pairs are those of sample_fiber, so tr([a^2, b]) = 2 - x^2 (2 - t)
+    with x = tr(a) = 2 sin(angle), angle uniform on [-h, h]: the values
+    lie in [t^2 - 2, 2] and have the distribution function
+    F(v) = 1 - arcsin(sqrt((2 - v) / (4 (2 - t)))) / h there (t < 2).
     """
     if bins < 2:
         raise ValueError("bins must be at least 2")

@@ -7,12 +7,10 @@ arithmetic, independent of the library's element type.
 
 import json
 import time
-import warnings
 
 import numpy as np
 
 from su2gap import (
-    DegenerateFiberWarning,
     IDENTITY,
     Pair,
     SU2Element,
@@ -160,9 +158,7 @@ def test_criterion_05_fiber_image_and_transport():
         assert abs(upper - 2.0) < 1e-9
 
         count = 2000 if t > -2.0 else 500
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateFiberWarning)
-            demo = fiber_transport_demo(t, count, seed=105)
+        demo = fiber_transport_demo(t, count, seed=105)
         assert demo.values.min() >= (t * t - 2.0) - 1e-9
         assert demo.values.max() <= 2.0 + 1e-9
     print("\nCRITERION 5 PASS: fiber-image endpoints and transport containment at all six test fibers")
