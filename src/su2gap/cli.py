@@ -29,7 +29,7 @@ import numpy as np
 
 from . import gap_dynamics, measure_lab, spectral, trace_geometry
 from .errors import ConvergenceError, DomainError
-from .su2_core import Pair, Word, haar_pair, pair_to_spec
+from .su2_core import Pair, Word, _unit_pairs, haar_quaternions, pair_to_spec
 from .trace_geometry import pair_from_spec
 
 SCHEMA_VERSION = 1
@@ -210,10 +210,11 @@ def _load_pair(path: str) -> Pair:
         raise ValueError(f"invalid pair-spec in {path!r}: {exc}") from exc
 
 
-def _pairs_artifact(meta: dict, pairs) -> tuple:
-    specs = [pair_to_spec(p) for p in pairs]
-    rows = [[i, *spec["a"], *spec["b"]] for i, spec in enumerate(specs)]
-    records = _Records(("type", "a", "b"), [(s["type"], s["a"], s["b"]) for s in specs])
+def _pairs_artifact(meta: dict, pairs: np.ndarray) -> tuple:
+    """The artifact of a (count, 8) array of pairs, rows in _PAIR_COLUMNS order."""
+    values = pairs.tolist()
+    rows = [[i, *row] for i, row in enumerate(values)]
+    records = _Records(("type", "a", "b"), [("matrix", row[:4], row[4:]) for row in values])
     return meta, ("index",) + _PAIR_COLUMNS, rows, lambda: {"pairs": records}
 
 
@@ -228,9 +229,9 @@ def _pairs_artifact(meta: dict, pairs) -> tuple:
 
 def _cmd_sample(args) -> tuple:
     _require(args.count >= 1, "--count must be at least 1")
-    rng = np.random.default_rng(args.seed)
-    pairs = [haar_pair(rng) for _ in range(args.count)]
-    return _pairs_artifact({"seed": args.seed, "count": args.count}, pairs)
+    # a then b of each pair, the rows haar_pair would draw in turn
+    pairs = haar_quaternions(np.random.default_rng(args.seed), 2 * args.count).reshape(args.count, 8)
+    return _pairs_artifact({"seed": args.seed, "count": args.count}, _unit_pairs(pairs))
 
 
 def _cmd_traces(args) -> tuple:

@@ -7,8 +7,7 @@ transport of a fiber under squaring the first generator.
 
 Every sampler works on flat arrays of quaternion components (w, x, y, z),
 one numpy pass per block of Haar pairs or per fiber, so no per-sample Python
-code runs; SU2Element objects are built only for the pairs that sample_fiber
-returns.  Products go through su2_core.quaternion_product and every
+code runs.  Products go through su2_core.quaternion_product and every
 commutator trace is the closed form su2_core.commutator_trace.
 """
 
@@ -20,11 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .su2_core import (
-    Pair,
-    SU2Element,
     _unit_components,
+    _unit_pairs,
     commutator_trace,
-    complex_rows,
     haar_quaternions,
     quaternion_product,
 )
@@ -239,8 +236,9 @@ def _fiber_components(t: float, count: int, seed: int):
     return (a, b), rng_conj
 
 
-def sample_fiber(t: float, count: int, seed: int) -> list[Pair]:
-    """Pairs drawn from Haar measure conditioned on tr([a, b]) = t.
+def sample_fiber(t: float, count: int, seed: int) -> np.ndarray:
+    """Pairs drawn from Haar measure conditioned on tr([a, b]) = t, as a
+    (count, 8) array: row i is (w, x, y, z) of a, then of b, of pair i.
 
     Conjugate a Haar pair so that a = cos(theta) + sin(theta) i, and let r be
     the squared norm of the part of Im b across i.  Under Haar measure theta
@@ -261,16 +259,14 @@ def sample_fiber(t: float, count: int, seed: int) -> list[Pair]:
 
     The seed is split by SeedSequence.spawn(2): the first stream gives one
     rng.random((3, count)) draw of (angle, psi1, psi2), the second the
-    Haar conjugators.
+    Haar conjugators.  An element off unit norm raises SU2Element's ValueError.
     """
     (a, b), rng_conj = _fiber_components(t, count, seed)
     k = tuple(haar_quaternions(rng_conj, count).T)
     k_inverse = (k[0], -k[1], -k[2], -k[3])
-
-    def conjugate(g):  # k g k^-1, as (alpha, beta) rows
-        return complex_rows(quaternion_product(quaternion_product(k, g), k_inverse)).tolist()
-
-    return [Pair(SU2Element(*ga), SU2Element(*gb)) for ga, gb in zip(conjugate(a), conjugate(b))]
+    # the columns (w, x, y, z) of k a k^-1, then of k b k^-1
+    columns = [c for g in (a, b) for c in quaternion_product(quaternion_product(k, g), k_inverse)]
+    return _unit_pairs(np.column_stack(columns))
 
 
 @dataclass(frozen=True, eq=False)

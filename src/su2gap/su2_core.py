@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 APPROX_TOL = 1e-10
+_ROW_BLOCK = 1 << 14  # rows per draw of haar_quaternions
 
 
 @dataclass(frozen=True)
@@ -144,17 +145,21 @@ def conjugate(g: SU2Element, k: SU2Element) -> SU2Element:
 
 
 def haar_quaternions(rng: np.random.Generator, count: int) -> np.ndarray:
-    """(count, 4) array of unit quaternions uniform on the 3-sphere.
-
-    One draw q = rng.standard_normal((count, 4)), normalized by
-    _unit_components, so the values are those of
-    q / np.linalg.norm(q, axis=1)[:, None].  The result is the transposed
-    view of a C-contiguous (4, count) block, so each component column (a row
-    of `.T`) is contiguous for the array products.  A call reads exactly
-    `count` rows of rng's stream: a row of norm < 1e-12 (about 1e-49 per row)
-    is redrawn from a child generator, rng.spawn(1)[0].
+    """(count, 4) array of unit quaternions uniform on the 3-sphere: the rows
+    of rng.standard_normal((count, 4)), drawn and normalized by
+    _unit_components _ROW_BLOCK rows at a time, so the values are those of
+    q / np.linalg.norm(q, axis=1)[:, None] and a call holds little beyond
+    its result.  That is the transposed view of a C-contiguous (4, count)
+    block, so each component column (a row of `.T`) is contiguous for the
+    array products.  A call reads exactly `count` rows of rng's stream; a row
+    of norm < 1e-12 (about 1e-49 per row) is redrawn from a child generator
+    of its block.
     """
-    return _unit_components(rng, rng.standard_normal((count, 4))).T
+    q = np.empty((4, count))
+    for start in range(0, count, _ROW_BLOCK):
+        block = q[:, start : start + _ROW_BLOCK]
+        block[...] = _unit_components(rng, rng.standard_normal((block.shape[1], 4)))
+    return q.T
 
 
 def _unit_components(rng: np.random.Generator, normals: np.ndarray) -> np.ndarray:
@@ -177,6 +182,16 @@ def _unit_components(rng: np.random.Generator, normals: np.ndarray) -> np.ndarra
         q[:, bad] = child.standard_normal((int(bad.sum()), 4)).T
     q /= norms
     return q
+
+
+def _unit_pairs(pairs: np.ndarray) -> np.ndarray:
+    """`pairs`, rows of (w, x, y, z) of a then of b, once every element passes
+    SU2Element's check in the same floats; the first that fails raises its ValueError."""
+    w, x, y, z = pairs.reshape(-1, 4).T
+    bad = np.flatnonzero(~(np.abs(np.hypot(w, x) ** 2 + np.hypot(y, z) ** 2 - 1.0) <= 1e-9))
+    for i in bad[:1]:  # SU2Element raises for the first
+        SU2Element(complex(w[i], x[i]), complex(y[i], z[i]))
+    return pairs
 
 
 def haar_sample(rng: np.random.Generator) -> SU2Element:

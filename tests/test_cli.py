@@ -1,6 +1,5 @@
 """End-to-end command-line behaviour: artifacts, round trips, exit codes."""
 
-import itertools
 import json
 import math
 import os
@@ -254,6 +253,19 @@ class TestOtherCommands:
         )
         assert code == 0
 
+    def test_samplers_build_no_su2element(self, tmp_path, monkeypatch):
+        # the sampled pairs stay one component array from the draw to the artifact
+        built = []
+        check = su2gap.su2_core.SU2Element.__post_init__
+        monkeypatch.setattr(
+            su2gap.su2_core.SU2Element, "__post_init__", lambda g: built.append(check(g))
+        )
+        for argv in (["sample", "--count", "1500"], ["fiber-sample", "--t", "0.5", "--count", "300"]):
+            for fmt in ("csv", "json"):
+                code, _ = run_to_file(tmp_path, f"pairs.{fmt}", *argv, "--format", fmt)
+                assert code == 0
+        assert built == []
+
 
 # Every range rule a command enforces, with the text stderr must show: the
 # first fifteen are the library's (the message names the library parameter),
@@ -429,20 +441,45 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_pair_spec_exit_three(self, tmp_path, monkeypatch, capsys, fmt):
-        # -inf inside the "b" list of pair spec 1,400 of 1,500, past the first batch
-        specs = itertools.count()
+        # -inf in the "b" list of pair 1,400 of 1,500, past the first batch,
+        # put into the sampled array after the unit check
+        artifact = su2gap.cli._pairs_artifact
 
-        def pair_to_spec(pair):
-            spec = su2gap.su2_core.pair_to_spec(pair)
-            if next(specs) == 1400:
-                spec["b"][1] = -math.inf
-            return spec
+        def with_inf(meta, pairs):
+            pairs[1400, 5] = -math.inf
+            return artifact(meta, pairs)
 
-        monkeypatch.setattr(su2gap.cli, "pair_to_spec", pair_to_spec)
-        out = tmp_path / f"pairs.{fmt}"
-        assert run_cli("sample", "--count", "1500", "--format", fmt, "--out", str(out)) == 3
-        assert "non-finite value: -inf" in capsys.readouterr().err
-        assert not out.exists()
+        monkeypatch.setattr(su2gap.cli, "_pairs_artifact", with_inf)
+        for argv in (["sample"], ["fiber-sample", "--t", "0.5"]):
+            out = tmp_path / f"{argv[0]}.{fmt}"
+            argv += ["--count", "1500", "--format", fmt, "--out", str(out)]
+            assert run_cli(*argv) == 3
+            assert "non-finite value: -inf" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("scale", [1.0 + 1e-8, math.nan], ids=["off-unit", "nan"])
+    def test_sampled_pair_off_unit_exit_one(self, tmp_path, monkeypatch, capsys, scale):
+        # one sampled row is scaled as it leaves the product; the unit check
+        # SU2Element made on every sampled element still refuses it
+        def scaled(product, row):
+            def patched(*args):
+                q = product(*args)
+                if isinstance(q, tuple):  # quaternion_product's (w, x, y, z)
+                    return tuple(np.where(np.arange(len(c)) == row, c * scale, c) for c in q)
+                q[row] *= scale
+                return q
+
+            return patched
+
+        monkeypatch.setattr(su2gap.cli, "haar_quaternions", scaled(su2gap.cli.haar_quaternions, 1401))
+        monkeypatch.setattr(
+            su2gap.measure_lab, "quaternion_product", scaled(su2gap.measure_lab.quaternion_product, 700)
+        )
+        for argv in (["sample"], ["fiber-sample", "--t", "0.5"]):
+            out = tmp_path / f"{argv[0]}.json"
+            assert run_cli(*argv, "--count", "1500", "--out", str(out)) == 1
+            assert "su2gap: error: not special unitary" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unreadable_pair_file(self, tmp_path):
         assert run_cli("traces", "--pair", str(tmp_path / "missing.json")) == 1
@@ -755,7 +792,10 @@ class TestRenderer:
                 fiber,
             ),
         ]:
-            specs = [su2gap.su2_core.pair_to_spec(p) for p in pairs]
+            if isinstance(pairs, np.ndarray):  # fiber-sample: rows of (w, x, y, z) of a, then of b
+                specs = [{"type": "matrix", "a": row[:4], "b": row[4:]} for row in pairs.tolist()]
+            else:
+                specs = [su2gap.su2_core.pair_to_spec(p) for p in pairs]
             doc = {"schema": 1, "command": argv[0]} | meta | {"pairs": specs}
             code, out = run_to_file(tmp_path, "pairs.json", *argv, "--format", "json")
             assert code == 0

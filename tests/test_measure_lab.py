@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from su2gap import (
     Move,
+    Pair,
+    SU2Element,
     apply_move,
     boundary_distance,
     boundary_mass,
@@ -20,7 +22,6 @@ from su2gap import (
     pi_map,
     pushforward_histogram,
     sample_fiber,
-    trace,
     trace_triple,
 )
 from su2gap import measure_lab
@@ -420,13 +421,21 @@ class TestCellCounts:
         np.testing.assert_array_equal(_cell_counts(xs, ts, bins), expected.astype(np.int64))
 
 
+def fiber_pairs(t, count, seed):
+    """sample_fiber's rows as Pairs: (w, x, y, z) of a, then of b."""
+    def element(w, x, y, z):
+        return SU2Element(complex(w, x), complex(y, z))
+
+    return [Pair(element(*r[:4]), element(*r[4:])) for r in sample_fiber(t, count, seed).tolist()]
+
+
 class TestArrayFiberAgainstLoop:
     @pytest.mark.parametrize("t", [-1.5, 0.0, 0.5, 1.7, 2.0])
     def test_transport_matches_per_pair_moves(self, t):
         demo = fiber_transport_demo(t, 2500, seed=8)
         expected = [
             pi_map(apply_move(pair, Move.SQUARE_FIRST)).t
-            for pair in sample_fiber(t, 2500, seed=8)
+            for pair in fiber_pairs(t, 2500, seed=8)
         ]
         np.testing.assert_allclose(demo.values, expected, rtol=0, atol=1e-12)
 
@@ -434,11 +443,11 @@ class TestArrayFiberAgainstLoop:
 class TestSampleFiber:
     def test_commutator_trace_is_pinned(self):
         for t in (-1.0, 0.0, 0.5, 1.7, 2.0):
-            for pair in sample_fiber(t, 300, seed=21):
+            for pair in fiber_pairs(t, 300, seed=21):
                 assert abs(pi_map(pair).t - t) < 1e-9
 
     def test_outputs_live_in_omega(self):
-        for pair in sample_fiber(0.3, 300, seed=4):
+        for pair in fiber_pairs(0.3, 300, seed=4):
             x, y, z = trace_triple(pair)
             assert in_omega(x, y, z, tol=1e-9)
             assert abs(fricke_commutator_trace(x, y, z) - 0.3) < 1e-9
@@ -463,27 +472,35 @@ class TestSampleFiber:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pairs = sample_fiber(-2.0, 200, seed=13)
-        assert len(pairs) == 200
-        for pair in pairs:
+        assert pairs.shape == (200, 8) and pairs.dtype == np.float64
+        for pair in fiber_pairs(-2.0, 200, seed=13):
             x, y, z = trace_triple(pair)
             assert max(abs(x), abs(y), abs(z)) <= 1e-15
 
     def test_symmetry_of_first_trace_at_mid_fiber(self):
-        pairs = sample_fiber(0.0, 10000, seed=2)
-        mean_x = np.mean([trace(p.a) for p in pairs])
+        mean_x = np.mean(2.0 * sample_fiber(0.0, 10000, seed=2)[:, 0])
         assert abs(mean_x) < 0.05
 
     def test_determinism(self):
-        first = sample_fiber(0.7, 50, seed=33)
-        second = sample_fiber(0.7, 50, seed=33)
-        for p, q in zip(first, second):
-            assert p.a.alpha == q.a.alpha and p.b.beta == q.b.beta
+        np.testing.assert_array_equal(sample_fiber(0.7, 50, seed=33), sample_fiber(0.7, 50, seed=33))
 
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_fiber(2.5, 10, seed=0)
         with pytest.raises(ValueError):
             sample_fiber(0.0, 0, seed=0)
+
+    @pytest.mark.parametrize("scale, row", [(1.0 + 1e-8, 17), (np.nan, 42)], ids=["off-unit", "nan"])
+    def test_unit_check_refuses_a_bad_row(self, monkeypatch, scale, row):
+        # SU2Element refused such an element; the array's unit check still does
+        product = measure_lab.quaternion_product
+
+        def scaled(g, h):
+            return tuple(np.where(np.arange(len(c)) == row, c * scale, c) for c in product(g, h))
+
+        monkeypatch.setattr(measure_lab, "quaternion_product", scaled)
+        with pytest.raises(ValueError, match=r"not special unitary: \|alpha\|\^2"):
+            sample_fiber(0.5, 100, seed=3)
 
 
 class TestFiberTransport:
@@ -575,8 +592,8 @@ class TestConditionalLaw:
     def test_first_trace_is_twice_a_sine_of_a_uniform_angle(self, t, seed):
         """KS test of x = tr(a) over 20,000 pairs against 2 sin(U[-h, h]);
         a correct sampler fails at a random seed with probability about 1e-3."""
-        xs = [2.0 * pair.a.alpha.real for pair in sample_fiber(t, 20_000, seed=seed)]
-        assert _ks_scaled(np.array(xs), lambda x: _trace_cdf(x, t)) <= KS_CRIT_999
+        xs = 2.0 * sample_fiber(t, 20_000, seed=seed)[:, 0]
+        assert _ks_scaled(xs, lambda x: _trace_cdf(x, t)) <= KS_CRIT_999
 
     def test_haar_pairs_near_a_fiber_follow_the_same_law(self):
         """The closed form is Haar's own conditional law: x = tr(a) of the

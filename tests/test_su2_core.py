@@ -1,6 +1,8 @@
 """Group arithmetic, Haar sampling, and word evaluation."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from su2gap import (
     trace,
 )
 from su2gap.su2_core import (
+    _unit_pairs,
     commutator_trace,
     pair_from_matrix_spec,
     quaternion_product,
@@ -212,6 +215,20 @@ class TestHaarSampling:
         spliced[2] = redraws[-1][1][0]
         np.testing.assert_array_equal(got, spliced / np.linalg.norm(spliced, axis=1)[:, None])
 
+    def test_traced_peak_is_near_the_result(self):
+        # the draw is normalized a block of rows at a time, so neither the
+        # whole draw nor a component copy of it is live beside the result;
+        # a first small call keeps one-time allocations out of the peak
+        haar_quaternions(np.random.default_rng(1), 4)
+        tracemalloc.start()
+        try:
+            q = haar_quaternions(np.random.default_rng(1), 2**18)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert q.nbytes == 8 * 2**20
+        assert peak < q.nbytes + 2 * 2**20
+
     def test_component_columns_are_contiguous(self, rng):
         # the array products read the columns as rows of .T
         q = haar_quaternions(rng, 1000)
@@ -222,6 +239,27 @@ class TestHaarSampling:
         g = haar_sample(np.random.default_rng(123))
         h = haar_sample(np.random.default_rng(123))
         assert g.alpha == h.alpha and g.beta == h.beta
+
+
+class TestUnitPairs:
+    def test_refuses_what_su2element_refuses(self, rng):
+        # norms stepped across the 1e-9 tolerance, and non-finite elements,
+        # as a of a pair and as b; the array check raises SU2Element's error
+        elements = haar_quaternions(rng, 300) * (1.0 + np.linspace(-6e-10, 6e-10, 300))[:, None]
+        elements[:3] = [[np.nan, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0], [0.0, -np.inf, np.inf, 0.0]]
+        refused = 0
+        for element in elements.tolist():
+            for pair in ([*element, 1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, *element]):
+                pairs = np.array([pair, pair])
+                try:
+                    SU2Element(complex(*element[:2]), complex(*element[2:]))
+                except ValueError as exc:
+                    refused += 1
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        _unit_pairs(pairs)
+                else:
+                    assert _unit_pairs(pairs) is pairs
+        assert 0 < refused < 2 * len(elements)  # both outcomes occur
 
 
 class TestAlgebraicInvariants:
