@@ -61,7 +61,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 _BATCH = 1 << 10  # rows per batch: few small strings live at once
-_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 _encode_str = json.encoder.encode_basestring_ascii
 
 
@@ -85,9 +84,12 @@ def _column(values) -> list:
 
 class _Records:
     """A JSON list of flat records, the value of a top-level key, written as
-    [dict(zip(columns, row)) for row in rows] would be without building the
-    dicts: batches of scalar and same-length list fields from one %s
-    template, any other batch through json.dumps."""
+    the dicts of its declared layout would be without building them.
+
+    Each entry of columns is a key, which takes one row entry, or a
+    (key, width) pair, which takes a list of the next width row entries.
+    Every row entry is a JSON scalar: str, int, float, bool or None.  One %s
+    template, built once, writes every record."""
 
     def __init__(self, columns: tuple, rows: list):
         self.columns, self.rows = columns, rows
@@ -96,28 +98,19 @@ class _Records:
         """The list's text in pieces, one per batch of rows."""
         if not self.rows:
             return ["[]"]
+        fields = []
+        for column in self.columns:
+            key, width = (column, 0) if isinstance(column, str) else column
+            name = _encode_str(key).replace("%", "%%")
+            slots = ",\n        ".join(["%s"] * width)
+            fields.append(f"{name}: [\n        {slots}\n      ]" if width else f"{name}: %s")
+        template = "{\n      " + ",\n      ".join(fields) + "\n    }"
         parts = ["[\n    "]
         for start in range(0, len(self.rows), _BATCH):
             batch = self.rows[start : start + _BATCH]
-            texts = self._template(batch) or [_dumps(dict(zip(self.columns, r)), 2) for r in batch]
+            texts = map(template.__mod__, zip(*map(_column, zip(*batch))))
             parts.append((",\n    " if start else "") + ",\n    ".join(texts))
         return parts + ["\n  ]"]
-
-    def _template(self, batch: list):
-        """The batch's texts, or None unless each field holds scalars or
-        same-length lists of scalars."""
-        fields, columns = [], []
-        for key, column in zip(self.columns, zip(*batch)):
-            lists = set(map(type, column)) <= {list, tuple} and len(set(map(len, column))) == 1
-            entries = list(zip(*column)) if lists else [column]
-            if not entries or not all(set(map(type, e)) <= _JSON_SCALARS for e in entries):
-                return None
-            columns += map(_column, entries)
-            slots = ",\n        ".join(["%s"] * len(entries))
-            name = _encode_str(key).replace("%", "%%")
-            fields.append(f"{name}: [\n        {slots}\n      ]" if lists else f"{name}: %s")
-        template = "{\n      " + ",\n      ".join(fields) + "\n    }"
-        return list(map(template.__mod__, zip(*columns))) if fields else None
 
 
 def _refuse(constant: str):
@@ -134,7 +127,8 @@ def _render(command: str, fmt: str, meta: dict, columns, rows, extra) -> str:
     position and takes extra()'s value.  The JSON text is that of
     json.dumps(doc, indent=2, allow_nan=False) plus a newline.  json.dumps
     writes it, except that a _Records value writes its own rows from a
-    template, so the large record lists build no dicts.  A NaN or infinity
+    template, so the large record lists build no dicts; their fields hold
+    JSON scalars or fixed-width lists of them.  A NaN or infinity
     in either form raises ConvergenceError, so no artifact carries a bare
     non-finite number.
     """
@@ -214,8 +208,9 @@ def _pairs_artifact(meta: dict, pairs: np.ndarray) -> tuple:
     """The artifact of a (count, 8) array of pairs, rows in _PAIR_COLUMNS order."""
     values = pairs.tolist()
     rows = [[i, *row] for i, row in enumerate(values)]
-    records = _Records(("type", "a", "b"), [("matrix", row[:4], row[4:]) for row in values])
-    return meta, ("index",) + _PAIR_COLUMNS, rows, lambda: {"pairs": records}
+    return meta, ("index",) + _PAIR_COLUMNS, rows, lambda: {
+        "pairs": _Records(("type", ("a", 4), ("b", 4)), [("matrix", *row) for row in values])
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Trace coordinates for pairs: the plane domain D, the solid region Omega,
-the quadratic trace identities, and the explicit inverse constructions.
+the quadratic trace identities, and one pair built from one point.
 
 Coordinates used throughout:
 
@@ -26,7 +26,6 @@ from .su2_core import (
     Pair,
     SU2Element,
     commutator_trace,
-    complex_rows,
     multiply,
     pair_from_matrix_spec,
     trace,
@@ -137,10 +136,8 @@ def construct_pair_from_fricke(x: float, t: float) -> Pair:
     return Pair(a, b)
 
 
-def construct_components_from_traces(x, y, z):
-    """Quaternion components ((w, x, y, z) of a, (w, x, y, z) of b) of pairs
-    with traces (tr(a), tr(b), tr(ab)) = (x, y, z) in Omega, one pair per
-    array entry.
+def construct_pair_from_traces(x: float, y: float, z: float) -> Pair:
+    """Explicit pair with traces (tr(a), tr(b), tr(ab)) = (x, y, z) in Omega.
 
     Puts a = diag(e^{i angle}, e^{-i angle}) with x = 2 cos(angle) and solves
     the two linear conditions on the (1, 1) entry p of b:
@@ -150,58 +147,41 @@ def construct_components_from_traces(x, y, z):
 
     then completes b with the real nonnegative off-diagonal sqrt(1 - |p|^2);
     |p| <= 1 is exactly the Omega inequality.  cos(angle) is taken as x / 2
-    itself, so tr(a) = x holds exactly.
+    itself, so tr(a) = x and tr(b) = y hold exactly.
 
-    Entries with |x| = 2 (a = +-I) require z = sign(x) * y and get b as the
-    real rotation with trace y.
+    At |x| = 2 the pair is a = +-I, which forces z = sign(x) * y, and b is
+    the real rotation with trace y.  A zero component is +0.0, never -0.0.
 
-    Takes scalars or 1-D arrays of one length and returns two 4-tuples of
-    real 1-D arrays.  Raises DomainError, naming the first offending entry,
-    when a triple lies outside Omega beyond tolerance.
+    Raises DomainError outside Omega beyond tolerance, for a z off sign(x) * y
+    at |x| = 2, or for |p| > 1 beyond rounding; ValueError for a NaN or infinity.
     """
-    x, y, z = (np.asarray(v, dtype=float).ravel() for v in (x, y, z))
-
-    def refuse(bad, message):
-        if bad.any():
-            raise DomainError(message(*(float(v[np.argmax(bad)]) for v in (x, y, z))))
-
-    refuse(~in_omega(x, y, z), lambda x, y, z: (
-        f"(x, y, z) = ({x!r}, {y!r}, {z!r}) is not in Omega: "
-        "requires x^2 + y^2 + z^2 - x*y*z - 4 <= 0"
-    ))
-    edge = np.abs(x) >= 2.0 - 1e-15
-    sign = np.where(x > 0, 1.0, -1.0)
-    refuse(edge & (np.abs(z - sign * y) > CONSTRUCTION_TOL), lambda x, y, z: (
-        f"with a = {'+' if x > 0 else '-'}I the trace of ab is forced "
-        f"to {(1.0 if x > 0 else -1.0) * y!r}, but z = {z!r} was requested"
-    ))
-    cos_a = np.clip(x / 2.0, -1.0, 1.0)
-    sin_a = np.sqrt((1.0 - cos_a) * (1.0 + cos_a))
-    re_p = y / 2.0
-    im_p = (cos_a * re_p - z / 2.0) / np.where(edge, 1.0, sin_a)
-    q_sq = 1.0 - np.hypot(re_p, im_p) ** 2
-    refuse(~edge & (q_sq < -1e-9), lambda x, y, z: (
-        f"no unitary completion for (x, y, z) = ({x!r}, {y!r}, {z!r})"
-    ))
-    half = np.clip(re_p, -1.0, 1.0)
-    zero = np.zeros_like(x)
-    a = (np.where(edge, sign, cos_a), np.where(edge, 0.0, sin_a), zero, zero)
-    b = (
-        np.where(edge, half, re_p),
-        np.where(edge, 0.0, im_p),
-        np.where(edge, -np.sqrt(1.0 - half * half), np.sqrt(np.maximum(0.0, q_sq))),
-        zero,
-    )
-    # + 0.0 turns -0.0 into 0.0, so a zero component prints as 0
-    return tuple(c + 0.0 for c in a), tuple(c + 0.0 for c in b)
-
-
-def construct_pair_from_traces(x: float, y: float, z: float) -> Pair:
-    """Explicit pair with traces (tr(a), tr(b), tr(ab)) = (x, y, z) in Omega,
-    built by construct_components_from_traces; raises DomainError outside and
-    ValueError for a NaN or infinite coordinate."""
-    components = construct_components_from_traces(*_finite(x, y, z))
-    return Pair(*(SU2Element(*complex_rows(g)[0]) for g in components))
+    x, y, z = _finite(x, y, z)
+    if not in_omega(x, y, z):
+        raise DomainError(
+            f"(x, y, z) = ({x!r}, {y!r}, {z!r}) is not in Omega: "
+            "requires x^2 + y^2 + z^2 - x*y*z - 4 <= 0"
+        )
+    if abs(x) >= 2.0 - 1e-15:
+        sign = 1.0 if x > 0 else -1.0
+        if abs(z - sign * y) > CONSTRUCTION_TOL:
+            raise DomainError(
+                f"with a = {'+' if x > 0 else '-'}I the trace of ab is forced "
+                f"to {sign * y!r}, but z = {z!r} was requested"
+            )
+        half = min(1.0, max(-1.0, y / 2.0))
+        alpha_a, alpha_b, beta_b = complex(sign), complex(half), -math.sqrt(1.0 - half * half)
+    else:
+        cos_a = x / 2.0
+        sin_a = math.sqrt((1.0 - cos_a) * (1.0 + cos_a))
+        re_p = y / 2.0
+        im_p = (cos_a * re_p - z / 2.0) / sin_a
+        h = float(np.hypot(re_p, im_p))  # not math.hypot, which rounds differently
+        q_sq = 1.0 - h * h
+        if q_sq < -1e-9:
+            raise DomainError(f"no unitary completion for (x, y, z) = ({x!r}, {y!r}, {z!r})")
+        alpha_a, alpha_b, beta_b = complex(cos_a, sin_a), complex(re_p, im_p), math.sqrt(max(0.0, q_sq))
+    # adding zero turns -0.0 into 0.0, so a zero component prints as 0
+    return Pair(SU2Element(alpha_a + 0j, 0j), SU2Element(alpha_b + 0j, beta_b + 0.0))
 
 
 def pair_from_spec(spec: dict) -> Pair:

@@ -67,6 +67,17 @@ class TestConstructAndTraces:
         assert abs(record["y"] - (-0.25)) < 1e-9
         assert abs(record["z"] - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("triple", [("-0.0", "-0.0", "-0.0"), ("2", "-0.0", "-0.0")])
+    def test_construct_prints_no_negative_zero(self, tmp_path, triple):
+        argv = ("construct", "--triple", *triple)
+        _, csv_file = run_to_file(tmp_path, "pair.csv", *argv, "--format", "csv")
+        cells = csv_file.read_text().splitlines()[-1].split(",")
+        assert "0" in cells and "-0" not in cells
+        _, json_file = run_to_file(tmp_path, "pair.json", *argv)
+        record = json.loads(json_file.read_text())
+        signs = [math.copysign(1.0, c) for c in record["a"] + record["b"] if c == 0]
+        assert signs == [1.0] * cells.count("0")
+
     def test_construct_csv_format(self, tmp_path):
         code, out = run_to_file(
             tmp_path, "pair.csv", "construct", "--fricke", "0", "2", "--format", "csv"
@@ -363,6 +374,34 @@ class TestExitCodes:
         assert run_cli("construct", "--fricke", "2", "0") == 2
         assert "domain error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "triple, message",
+        [
+            (
+                ("1.9", "-1.9", "1.9"),
+                "(x, y, z) = (1.9, -1.9, 1.9) is not in Omega: requires x^2 + y^2 + z^2 - x*y*z - 4 <= 0",
+            ),
+            (
+                ("2", "0.5", "0.5000001"),
+                "with a = +I the trace of ab is forced to 0.5, but z = 0.5000001 was requested",
+            ),
+            (
+                ("-2", "0.5", "-0.5000001"),
+                "with a = -I the trace of ab is forced to -0.5, but z = -0.5000001 was requested",
+            ),
+            (
+                # in Omega to tolerance and off the edge, but |p| > 1 beyond rounding
+                ("1.99999999999999", "1.0", "1.000000728025044"),
+                "no unitary completion for (x, y, z) = (1.99999999999999, 1.0, 1.000000728025044)",
+            ),
+        ],
+    )
+    def test_construct_triple_domain_errors_exit_two(self, tmp_path, capsys, triple, message):
+        out = tmp_path / "out.json"
+        assert run_cli("construct", "--triple", *triple, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"su2gap: domain error: {message}\n"
+        assert not out.exists()
+
     def test_domain_error_from_pair_file(self, tmp_path):
         pair_file = tmp_path / "pair.json"
         pair_file.write_text(json.dumps({"type": "fricke", "x": 2.0, "t": 0.0}))
@@ -638,7 +677,7 @@ NEAR_MISSES = ("order", "length", "nested", "bool", "int", "empty list", "empty 
 @st.composite
 def record_lists(draw):
     """Dicts with one key order and scalar or same-width float-list columns,
-    sometimes with one record changed so that the list has no one template."""
+    sometimes with one record changed so that the records differ in shape."""
     keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
     kind = st.sampled_from(["float", "int", "str", "list"])
     kinds = draw(st.lists(kind, min_size=len(keys), max_size=len(keys)))
@@ -666,6 +705,37 @@ def record_lists(draw):
             "empty list": [],
         }[miss]
     return records
+
+
+@st.composite
+def declared_records(draw):
+    """A _Records layout of scalar keys and (key, width) float lists, and
+    rows for it, sometimes with a bool, an int or None in one row entry or
+    None in all of one row's entries."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    kind = st.sampled_from(["float", "int", "str", "list"])
+    kinds = draw(st.lists(kind, min_size=len(keys), max_size=len(keys)))
+    width = draw(st.integers(1, 3))
+    columns = tuple((key, width) if kind == "list" else key for key, kind in zip(keys, kinds))
+    entry = {"float": FLOATS, "int": st.integers(), "str": TEXT, "list": FLOATS}
+    slots = [entry[kind] for kind in kinds for _ in range(width if kind == "list" else 1)]
+    rows = draw(st.lists(st.tuples(*slots).map(list), min_size=1, max_size=6))
+    miss = draw(st.sampled_from([None, "bool", "int", "none", "none row"]))
+    i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(slots) - 1))
+    if miss == "none row":
+        rows[i] = [None] * len(slots)
+    elif miss is not None:
+        rows[i][j] = {"bool": True, "int": 7, "none": None}[miss]
+    return columns, rows
+
+
+def record_dict(columns: tuple, row: list) -> dict:
+    """The record a row stands for under a _Records layout."""
+    record, entries = {}, iter(row)
+    for column in columns:
+        key, width = (column, 0) if isinstance(column, str) else column
+        record[key] = [next(entries) for _ in range(width)] if width else next(entries)
+    return record
 
 
 # lists of one scalar type, the shape of most values outside the record lists
@@ -735,17 +805,16 @@ class TestRenderer:
         assert text == json.dumps(expected, indent=2, allow_nan=False) + "\n"
 
     @settings(max_examples=200, deadline=None)
-    @given(records=record_lists(), batch=st.sampled_from([1, 2, 3, 1024]))
-    def test_records_equal_their_dicts(self, records, batch):
-        # the rows of a _Records are written as the dicts zip(columns, row)
-        columns = tuple(records[0])
-        rows = [[record.get(key) for key in columns] for record in records]
+    @given(layout=declared_records(), batch=st.sampled_from([1, 2, 3, 1024]))
+    def test_records_equal_their_dicts(self, layout, batch):
+        # the rows of a _Records are written as the dicts of its layout
+        columns, rows = layout
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(su2gap.cli, "_BATCH", batch)
             text = su2gap.cli._render(
                 "cmd", "json", {}, (), [], lambda: {"rows": su2gap.cli._Records(columns, rows)}
             )
-        expected = {"schema": 1, "command": "cmd", "rows": [dict(zip(columns, row)) for row in rows]}
+        expected = {"schema": 1, "command": "cmd", "rows": [record_dict(columns, row) for row in rows]}
         assert text == json.dumps(expected, indent=2, allow_nan=False) + "\n"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -26,7 +26,6 @@ from su2gap import (
     trace_of_square,
     trace_triple,
 )
-from su2gap.trace_geometry import construct_components_from_traces
 
 
 def matrix_commutator_trace(pair: Pair) -> float:
@@ -211,22 +210,21 @@ class TestTripleConstruction:
         with pytest.raises(DomainError):
             construct_pair_from_traces(1.9, -1.9, 1.9)
 
-    def test_array_form_matches_scalar_wrapper(self, rng):
-        edge_rows = [(2.0, 0.5, 0.5), (-2.0, 0.5, -0.5), (2.0, -2.0, -2.0), (-2.0, 2.0, -2.0)]
-        triples = np.array(edge_rows + [(0.0, 0.0, 0.0)] + list(sample_omega_points(rng, 50)))
-        a_columns, b_columns = construct_components_from_traces(*triples.T)
-        for row, (x, y, z) in enumerate(triples):
+    def test_traces_of_a_and_b_are_exact(self, rng):
+        # cos(angle) is x / 2 itself and Re(p) is y / 2, so no rounding enters
+        for x, y, z in sample_omega_points(rng, 2000):
             a, b = construct_pair_from_traces(x, y, z)
-            assert [c[row] for c in (*a_columns, *b_columns)] == [*a.quaternion, *b.quaternion]
+            assert 2.0 * a.alpha.real == x and 2.0 * b.alpha.real == y
 
-    @pytest.mark.parametrize("bad", [(1.9, -1.9, 1.9), (2.0, 0.5, -0.5), (-2.0, 0.5, 0.5)])
-    def test_array_form_raises_like_scalar_wrapper(self, bad):
-        with pytest.raises(DomainError) as scalar:
-            construct_pair_from_traces(*bad)
-        triples = np.array([(0.0, 0.0, 0.0), bad, (1.0, 1.0, 1.0), (1.9, -1.9, 1.9)])
-        with pytest.raises(DomainError) as array:
-            construct_components_from_traces(*triples.T)
-        assert str(array.value) == str(scalar.value)
+    @pytest.mark.parametrize("x", [2.0, -2.0, 2.0 + 1e-13, -math.nextafter(2.0, 0.0)])
+    def test_edge_gives_exactly_plus_minus_identity(self, x):
+        sign = 1.0 if x > 0 else -1.0
+        for y in (0.5, -1.3, 2.0, -2.0, -0.0):
+            a, b = construct_pair_from_traces(x, y, sign * y)
+            assert a.quaternion == (sign, 0.0, 0.0, 0.0)
+            assert 2.0 * b.alpha.real == y
+            zeros = [c for c in (*a.quaternion, *b.quaternion) if c == 0]
+            assert all(math.copysign(1.0, c) == 1.0 for c in zeros)
 
     def test_reconstruction_on_random_omega_points(self, rng):
         for x, y, z in sample_omega_points(rng, 2000):
