@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .su2_core import Pair, commutator_trace, complex_rows, inverse, multiply, quaternion_product
+from .su2_core import Pair, commutator_trace, inverse, multiply, quaternion_product
 
 DEFAULT_MAX_STEPS = 64
 ORBIT_DEDUP_GRID = 1e-6
@@ -114,14 +114,11 @@ def apply_move(pair: Pair, move: Move) -> Pair:
 @dataclass(frozen=True, eq=False)
 class Orbit:
     """A word-map orbit in breadth-first order: point i is reached by the
-    moves in paths[i], lies at (x[i], t[i]), and has generators with
-    (alpha, beta) rows a[i] and b[i]."""
+    moves in paths[i] and lies at (x[i], t[i])."""
 
     paths: list[str]
     x: np.ndarray
     t: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -140,7 +137,8 @@ def wordmap_orbit(pair: Pair, depth: int, max_points: int = 10000) -> Orbit:
     (coordinates, not matrices, are what the downstream analysis consumes).
     Expansion order is deterministic: frontier in insertion order, moves in
     declaration order, each point kept if its cell is new, up to max_points.
-    Each depth is one numpy pass with the rounding of apply_move and pi_map.
+    Each depth is one numpy pass with the rounding of apply_move and pi_map,
+    exact to the bit; generators are kept only for the next depth's frontier.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -150,7 +148,7 @@ def wordmap_orbit(pair: Pair, depth: int, max_points: int = 10000) -> Orbit:
     x, t = 2.0 * a[0], commutator_trace(a[1:], b[1:])
     seen = _dedup_keys(x, t)
     paths, frontier = [""], [""]
-    levels = [(complex_rows(a), complex_rows(b), x, t)]
+    levels = [(x, t)]
     for _ in range(depth):
         if len(paths) >= max_points:
             break
@@ -176,6 +174,6 @@ def wordmap_orbit(pair: Pair, depth: int, max_points: int = 10000) -> Orbit:
         del square, product, images
         frontier = [frontier[i >> 2] + _MOVE_CODES[i & 3] for i in fresh.tolist()]
         paths += frontier
-        levels.append((complex_rows(a), complex_rows(b), x, t))
-    a_rows, b_rows, x, t = (np.concatenate(column) for column in zip(*levels))
-    return Orbit(paths, x, t, a_rows, b_rows)
+        levels.append((x, t))
+    x, t = (np.concatenate(column) for column in zip(*levels))
+    return Orbit(paths, x, t)

@@ -8,17 +8,18 @@ transport of a fiber under squaring the first generator.
 Every sampler works on flat arrays of quaternion components (w, x, y, z),
 one numpy pass per block of Haar pairs or per fiber, so no per-sample Python
 code runs.  Products go through su2_core.quaternion_product and every
-commutator trace is the closed form su2_core.commutator_trace.
+commutator trace is the closed form su2_core.commutator_trace.  Haar pairs
+are drawn a block ahead on a worker thread, joined before each call returns.
 """
 
 from __future__ import annotations
 
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .su2_core import (
+    _ROW_BLOCK,
     _unit_components,
     _unit_pairs,
     commutator_trace,
@@ -26,37 +27,35 @@ from .su2_core import (
     quaternion_product,
 )
 
-_HAAR_BLOCK = 1 << 14  # pairs per block of the Haar pushforward
+def _haar_fricke_sum(rng: np.random.Generator, count: int, per_block):
+    """Sum of per_block(x, t) over the (x, t) arrays of `count` Haar pairs,
+    in blocks of at most su2_core._ROW_BLOCK pairs.
 
-
-def _haar_fricke_chunks(rng: np.random.Generator, count: int):
-    """(x, t) coordinates of `count` Haar pairs, yielded in blocks of at most
-    _HAAR_BLOCK pairs.
-
-    Each block of n pairs is one draw rng.standard_normal((2 n, 4)), made
-    into unit quaternions by su2_core._unit_components: its first n rows are
-    the first elements a and its last n rows the second elements b.  The
-    draws run on one worker thread, one block ahead of the block being read;
-    the draw releases the GIL, so the reader's arithmetic runs beside it,
-    and future.result() raises a draw's exception in the reader.  A call
-    reads exactly the first 2 * count rows of rng's stream, since a row of
-    norm < 1e-12 is redrawn from a child generator.  The worker is joined
-    when the generator is exhausted, closed or left by an exception.
+    A block of n pairs is one draw rng.standard_normal((2 n, 4)), made into
+    unit quaternions by su2_core._unit_components: a is its first n rows, b
+    its last n.  One worker thread draws every block, the first included,
+    one block ahead; the draw releases the GIL, so per_block runs beside it,
+    and future.result() raises a draw's exception here.  A call reads
+    exactly the first 2 * count rows of rng's stream (a row of norm < 1e-12
+    is redrawn from a child generator) and joins the worker before it
+    returns or raises.
     """
     from concurrent.futures import ThreadPoolExecutor  # loaded only by calls that draw pairs
 
     def draw(start):
-        return pool.submit(rng.standard_normal, (2 * min(_HAAR_BLOCK, count - start), 4))
+        return pool.submit(rng.standard_normal, (2 * min(_ROW_BLOCK, count - start), 4))
 
+    total = 0
     with ThreadPoolExecutor(1) as pool:
         ahead = draw(0)
-        for start in range(0, count, _HAAR_BLOCK):
+        for start in range(0, count, _ROW_BLOCK):
             normals = ahead.result()
-            ahead = draw(start + _HAAR_BLOCK) if start + _HAAR_BLOCK < count else None
+            ahead = draw(start + _ROW_BLOCK) if start + _ROW_BLOCK < count else None
             q = _unit_components(rng, normals)
             del normals  # copied into q; only the draw ahead stays live
             n = q.shape[1] // 2
-            yield 2.0 * q[0, :n], commutator_trace(q[1:, :n], q[1:, n:])
+            total += per_block(2.0 * q[0, :n], commutator_trace(q[1:, :n], q[1:, n:]))
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,10 +111,7 @@ def pushforward_histogram(sample_count: int, bins: int, seed: int) -> Histogram2
     if bins < 2:
         raise ValueError("bins must be at least 2")
     rng = np.random.default_rng(seed)
-    counts = np.zeros((bins, bins), dtype=np.int64)
-    with closing(_haar_fricke_chunks(rng, sample_count)) as chunks:
-        for xs, ts in chunks:
-            counts += _cell_counts(xs, ts, bins)
+    counts = _haar_fricke_sum(rng, sample_count, lambda xs, ts: _cell_counts(xs, ts, bins))
     return Histogram2D(
         counts=counts,
         bins_per_axis=bins,
@@ -203,8 +199,7 @@ def boundary_mass(sample_count: int, delta: float, seed: int) -> float:
     if delta <= 0:
         raise ValueError("delta must be positive")
     rng = np.random.default_rng(seed)
-    with closing(_haar_fricke_chunks(rng, sample_count)) as chunks:
-        hits = sum(_count_near(xs, ts, delta) for xs, ts in chunks)
+    hits = _haar_fricke_sum(rng, sample_count, lambda xs, ts: _count_near(xs, ts, delta))
     return hits / sample_count
 
 

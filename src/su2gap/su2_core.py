@@ -100,12 +100,6 @@ def quaternion_product(g: tuple, h: tuple) -> tuple:
     return w / norm, x / norm, y / norm, z / norm
 
 
-def complex_rows(g: tuple) -> np.ndarray:
-    """(n, 2) array of the (alpha, beta) rows of elements given as (w, x, y, z)
-    arrays of length n."""
-    return np.stack(g, axis=1).view(complex)
-
-
 def commutator_trace(u: tuple, v: tuple):
     """tr(a b a^-1 b^-1) = 2 - 4 |u x v|^2 for unit quaternions a and b with
     imaginary parts u = (x, y, z) and v, each a float or an array, one cross

@@ -191,21 +191,15 @@ def wordmap_orbit_reference(pair, depth, max_points=10000):
     return points
 
 
-def element(row):
-    return SU2Element(complex(row[0]), complex(row[1]))
-
-
 def assert_matches_reference(pair, depth, max_points):
+    """The orbit is the scalar loop's: same paths, and the same floats, since
+    each depth rounds as apply_move and pi_map do."""
     orbit = wordmap_orbit(pair, depth, max_points)
     expected = wordmap_orbit_reference(pair, depth, max_points)
     assert orbit.paths == [path for _, _, path in expected]
     assert len(orbit) == len(expected) == orbit.x.size == orbit.t.size
-    assert orbit.a.shape == orbit.b.shape == (len(expected), 2)
-    np.testing.assert_allclose(orbit.x, [c.x for _, c, _ in expected], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(orbit.t, [c.t for _, c, _ in expected], rtol=0, atol=1e-12)
-    for rows, which in ((orbit.a, 0), (orbit.b, 1)):
-        gens = [p[which] for p, _, _ in expected]
-        np.testing.assert_allclose(rows, [[g.alpha, g.beta] for g in gens], rtol=0, atol=1e-12)
+    assert np.array_equal(orbit.x, [c.x for _, c, _ in expected])
+    assert np.array_equal(orbit.t, [c.t for _, c, _ in expected])
     return orbit
 
 
@@ -228,7 +222,7 @@ class TestWordmapOrbit:
         pair = haar_pair(rng)
         orbit = wordmap_orbit(pair, 0)
         assert len(orbit) == 1
-        assert Pair(element(orbit.a[0]), element(orbit.b[0])) == pair
+        assert (orbit.x[0], orbit.t[0]) == pi_map(pair)
         assert orbit.paths == [""]
 
     def test_identity_pair_is_fixed(self):
@@ -238,12 +232,6 @@ class TestWordmapOrbit:
     def test_max_points_truncation(self, rng):
         orbit = wordmap_orbit(haar_pair(rng), 6, max_points=17)
         assert len(orbit) == 17
-
-    def test_coordinates_match_pairs(self, rng):
-        orbit = wordmap_orbit(haar_pair(rng), 3)
-        for i in range(len(orbit)):
-            pair = Pair(element(orbit.a[i]), element(orbit.b[i]))
-            np.testing.assert_allclose((orbit.x[i], orbit.t[i]), pi_map(pair), atol=1e-10)
 
     def test_haar_pairs_match_the_scalar_loop(self, rng):
         for _ in range(3):
@@ -267,9 +255,6 @@ class TestWordmapOrbit:
         )
         orbit = assert_matches_reference(pair, 8, 20000)
         np.testing.assert_allclose(orbit.t, 2.0, atol=1e-12)
-        # every product is renormalized: each row is unit to rounding
-        for rows in (orbit.a, orbit.b):
-            np.testing.assert_allclose((rows.view(float) ** 2).sum(axis=1), 1.0, rtol=0, atol=1e-15)
         # S, I and M all keep b, so candidates share keys inside one depth
         per_depth = np.bincount([len(path) for path in orbit.paths])
         assert len(per_depth) == 9 and (per_depth[1:] < 4 * per_depth[:-1]).all()

@@ -26,13 +26,12 @@ from su2gap import (
 )
 from su2gap import measure_lab
 from su2gap.measure_lab import (
-    _HAAR_BLOCK,
     _cell_counts,
     _count_near,
-    _haar_fricke_chunks,
+    _haar_fricke_sum,
     _parabola_segment_distance,
 )
-from su2gap.su2_core import commutator_trace, haar_quaternions
+from su2gap.su2_core import _ROW_BLOCK, commutator_trace, haar_quaternions
 
 # chi-square 0.999 quantile at 49 degrees of freedom
 CHI2_CRIT_49_999 = 85.3505646085
@@ -230,8 +229,8 @@ def unchunked_fricke_reference(count, seed):
     over the whole sample at once."""
     rng = np.random.default_rng(seed)
     draws = []
-    for start in range(0, count, _HAAR_BLOCK):
-        n = min(_HAAR_BLOCK, count - start)
+    for start in range(0, count, _ROW_BLOCK):
+        n = min(_ROW_BLOCK, count - start)
         q = haar_quaternions(rng, 2 * n)
         draws.append((q[:n], q[n:]))
     qa = np.concatenate([d[0] for d in draws])
@@ -253,7 +252,7 @@ def unchunked_fricke_reference(count, seed):
 
 class TestChunking:
     # past three block boundaries, so the last of four blocks is short
-    COUNT = 3 * _HAAR_BLOCK + 17
+    COUNT = 3 * _ROW_BLOCK + 17
 
     def test_boundary_mass_matches_unchunked_reference(self):
         xs, ts = unchunked_fricke_reference(self.COUNT, seed=7)
@@ -298,17 +297,19 @@ class StreamStub:
 
 
 def chunk_points(rng, count):
-    """(x, t) of all blocks of _haar_fricke_chunks, concatenated."""
-    xs, ts = zip(*_haar_fricke_chunks(rng, count))
+    """(x, t) of all blocks that _haar_fricke_sum passes to per_block, concatenated."""
+    blocks = []
+    _haar_fricke_sum(rng, count, lambda xs, ts: blocks.append((xs, ts)) or 0)
+    xs, ts = zip(*blocks)
     return np.concatenate(xs), np.concatenate(ts)
 
 
 class TestNormalStream:
-    """_haar_fricke_chunks draws the normals of each _HAAR_BLOCK-pair block,
+    """_haar_fricke_sum draws the normals of each _ROW_BLOCK-pair block,
     its a and b rows together, on a worker thread; the points, the rows
     drawn and the threads it leaves must not show it."""
 
-    @pytest.mark.parametrize("count", [1, _HAAR_BLOCK - 1, _HAAR_BLOCK + 1, (1 << 18) + 17])
+    @pytest.mark.parametrize("count", [1, _ROW_BLOCK - 1, _ROW_BLOCK + 1, (1 << 18) + 17])
     def test_counts_and_mass_match_unchunked_reference(self, count):
         xs, ts = unchunked_fricke_reference(count, seed=5)
         expected, _, _ = np.histogram2d(
@@ -323,9 +324,9 @@ class TestNormalStream:
         "count, zero_rows",
         [
             pytest.param(1000, (), id="1000"),
-            pytest.param(5 * _HAAR_BLOCK + 3, (), id="81923"),
+            pytest.param(5 * _ROW_BLOCK + 3, (), id="81923"),
             # rows below the norm floor in the first, a middle and the last block
-            pytest.param(5 * _HAAR_BLOCK + 3, (7, 4 * _HAAR_BLOCK + 1, 10 * _HAAR_BLOCK + 5), id="zero-rows"),
+            pytest.param(5 * _ROW_BLOCK + 3, (7, 4 * _ROW_BLOCK + 1, 10 * _ROW_BLOCK + 5), id="zero-rows"),
         ],
     )
     def test_a_call_draws_only_its_planned_rows(self, count, zero_rows):
@@ -341,7 +342,7 @@ class TestNormalStream:
         # row 1 is 0 as well, so b's row 7 takes child row 2.  The second
         # block is the next 10 rows, and its b row 2 takes row 0 of a second
         # child.  The call reads no row of the stream past the 2n it plans.
-        b = _HAAR_BLOCK
+        b = _ROW_BLOCK
         n, second = b + 5, 2 * b
         stub = StreamStub(6, zero_rows=(3, b + 7, second + 5 + 2), child_zero_rows=(1,))
         rows = np.random.default_rng(6).standard_normal((second + 10, 4))
@@ -360,14 +361,9 @@ class TestNormalStream:
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
         baseline = threading.active_count()
-        pushforward_histogram(_HAAR_BLOCK + 1, 12, seed=1)
+        pushforward_histogram(_ROW_BLOCK + 1, 12, seed=1)
         assert threading.active_count() == baseline
-        boundary_mass(3 * _HAAR_BLOCK, 0.05, seed=1)
-        assert threading.active_count() == baseline
-
-        chunks = _haar_fricke_chunks(np.random.default_rng(1), 4 * _HAAR_BLOCK)
-        next(chunks)
-        chunks.close()
+        boundary_mass(3 * _ROW_BLOCK, 0.05, seed=1)
         assert threading.active_count() == baseline
 
         def failing_count(xs, ts, arg):
@@ -376,15 +372,15 @@ class TestNormalStream:
         for name, call in (("_cell_counts", pushforward_histogram), ("_count_near", boundary_mass)):
             monkeypatch.setattr(measure_lab, name, failing_count)
             with pytest.raises(ArithmeticError, match="count failed") as caught:
-                call(3 * _HAAR_BLOCK, 12, 1)
+                call(3 * _ROW_BLOCK, 12, 1)
             # the traceback held in `caught` keeps the caller's frame alive
             assert caught.tb is not None and threading.active_count() == baseline
 
     def test_producer_error_reaches_the_reader(self):
         baseline = threading.active_count()
-        stub = StreamStub(2, raise_after=3 * _HAAR_BLOCK, error=FloatingPointError("draw failed"))
+        stub = StreamStub(2, raise_after=3 * _ROW_BLOCK, error=FloatingPointError("draw failed"))
         with pytest.raises(FloatingPointError, match="draw failed"):
-            chunk_points(stub, 4 * _HAAR_BLOCK)
+            chunk_points(stub, 4 * _ROW_BLOCK)
         assert threading.active_count() == baseline
 
 
@@ -602,7 +598,7 @@ class TestConditionalLaw:
         the distribution function by under 1e-3, a tenth of the smallest
         critical distance, so each case fails at a random seed with
         probability about 1e-3."""
-        xs, ts = (np.concatenate(v) for v in zip(*_haar_fricke_chunks(np.random.default_rng(61), 2**20)))
+        xs, ts = chunk_points(np.random.default_rng(61), 2**20)
         for t in (-1.0, 0.5, 1.5):
             near = xs[np.abs(ts - t) < 0.01]
             assert len(near) > 2000
