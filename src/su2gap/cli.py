@@ -10,6 +10,8 @@ JSON is laid out as json.dumps(doc, indent=2, allow_nan=False) plus a newline:
 2-space indent, non-ASCII and control characters as \\uXXXX escapes, floats as
 their Python repr, and the keys schema, command, the header keys, then the
 command's data, in that order.  Neither format carries a bare NaN or infinity.
+Handlers hand the renderer their tables as columns, and each format writes a
+table from one %-template, one % call per batch of rows.
 Exit codes: 0 success; 1 invalid input, with the message of the check that
 rejects it (the library's names its parameter), or an unwritable --out;
 2 domain error; 3 numerical error (an eigensolver failure, an eigenvalue
@@ -60,7 +62,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_BATCH = 1 << 10  # rows per batch: few small strings live at once
+_BATCH = 1 << 10  # rows per % call: it bounds the cells that live at once
 _encode_str = json.encoder.encode_basestring_ascii
 
 
@@ -74,43 +76,54 @@ def _dumps(value, level: int = 0) -> str:
     return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + "  " * level)
 
 
-def _column(values) -> list:
-    """The JSON texts of a sequence of scalars; json.dumps raises on NaN or infinity."""
-    kinds = set(map(type, values))
-    if kinds == {int} or kinds == {float} and all(map(math.isfinite, values)):
-        return list(map(repr, values))
-    return list(map(_encode_str if kinds == {str} else _dumps, values))
+def _batches(table: list, converts: list, row: str, sep: str):
+    """The rows of a table of equal-length columns as text, _BATCH rows per
+    string, each one % of the joined row templates on cells interleaved by
+    slice; converts holds each column's conversion to its slot's argument,
+    or None where the slot takes the value itself."""
+    count, width = len(table[0]) if table else 0, len(table)
+    for start in range(0, count, _BATCH):
+        cells = [None] * (min(_BATCH, count - start) * width)
+        for i, (values, convert) in enumerate(zip(table, converts)):
+            values = values[start : start + _BATCH]
+            cells[i::width] = values if convert is None else map(convert, values)
+        yield sep.join([row] * (len(cells) // width)) % tuple(cells)
 
 
 class _Records:
     """A JSON list of flat records, the value of a top-level key, written as
     the dicts of its declared layout would be without building them.
 
-    Each entry of columns is a key, which takes one row entry, or a
-    (key, width) pair, which takes a list of the next width row entries.
-    Every row entry is a JSON scalar: str, int, float, bool or None.  One %s
-    template, built once, writes every record."""
+    Each entry of layout is a key, which takes the next column of table, or a
+    (key, width) pair, which takes a list of the next width columns.  The
+    columns are equal-length sequences of JSON scalars: str, int, float, bool
+    or None.  One %-template per table writes every record: a %r slot for a
+    column of ints or of finite floats, and %s on the JSON text of any other."""
 
-    def __init__(self, columns: tuple, rows: list):
-        self.columns, self.rows = columns, rows
+    def __init__(self, layout: tuple, table: list):
+        self.layout, self.table = layout, table
 
     def parts(self) -> list:
-        """The list's text in pieces, one per batch of rows."""
-        if not self.rows:
+        """The list's text in pieces, one per batch of records."""
+        if not len(self.table[0]):
             return ["[]"]
-        fields = []
-        for column in self.columns:
+        slots, converts = [], []
+        for values in self.table:
+            kinds = set(map(type, values))
+            exact = kinds == {int} or kinds == {float} and all(map(math.isfinite, values))
+            slots.append("%r" if exact else "%s")
+            # json.dumps raises on NaN or infinity
+            converts.append(None if exact else _encode_str if kinds == {str} else _dumps)
+        slots, fields = iter(slots), []
+        for column in self.layout:
             key, width = (column, 0) if isinstance(column, str) else column
             name = _encode_str(key).replace("%", "%%")
-            slots = ",\n        ".join(["%s"] * width)
-            fields.append(f"{name}: [\n        {slots}\n      ]" if width else f"{name}: %s")
+            inner = ",\n        ".join(next(slots) for _ in range(width))
+            fields.append(f"{name}: [\n        {inner}\n      ]" if width else f"{name}: {next(slots)}")
         template = "{\n      " + ",\n      ".join(fields) + "\n    }"
-        parts = ["[\n    "]
-        for start in range(0, len(self.rows), _BATCH):
-            batch = self.rows[start : start + _BATCH]
-            texts = map(template.__mod__, zip(*map(_column, zip(*batch))))
-            parts.append((",\n    " if start else "") + ",\n    ".join(texts))
-        return parts + ["\n  ]"]
+        texts = _batches(self.table, converts, template, ",\n    ")
+        parts = [part for text in texts for part in (",\n    ", text)]
+        return ["[\n    ", *parts[1:], "\n  ]"]
 
 
 def _refuse(constant: str):
@@ -118,17 +131,19 @@ def _refuse(constant: str):
     raise _non_finite(float(constant))
 
 
-def _render(command: str, fmt: str, meta: dict, columns, rows, extra) -> str:
+def _render(command: str, fmt: str, meta: dict, columns, table, extra) -> str:
     """The artifact text for one command: the only place CSV and JSON are written.
 
-    CSV is the meta header, the column line and the rows, with floats at 17
-    significant digits.  JSON is {"schema", "command"} | meta | extra(), and
+    CSV is the meta header, the column line and the rows of table, a list of
+    equal-length columns, with floats at 17 significant digits; each column
+    takes %.17g if it holds only finite floats, else %s, on cell()'s text if
+    it holds any float.  JSON is {"schema", "command"} | meta | extra(), and
     only JSON calls extra; a key of extra() that is also in meta keeps meta's
     position and takes extra()'s value.  The JSON text is that of
     json.dumps(doc, indent=2, allow_nan=False) plus a newline.  json.dumps
-    writes it, except that a _Records value writes its own rows from a
-    template, so the large record lists build no dicts; their fields hold
-    JSON scalars or fixed-width lists of them.  A NaN or infinity
+    writes it, except that a _Records value writes its own records from its
+    columns, so the large record lists build no dicts.  Both formats write
+    a table from one template, _BATCH rows per % call.  A NaN or infinity
     in either form raises ConvergenceError, so no artifact carries a bare
     non-finite number.
     """
@@ -144,7 +159,7 @@ def _render(command: str, fmt: str, meta: dict, columns, rows, extra) -> str:
             parts.append("\n}\n")
             return "".join(parts)
         except ValueError:  # json.dumps names no value; json.loads meets the first
-            text = json.dumps(doc, default=lambda records: records.rows)
+            text = json.dumps(doc, default=lambda records: list(zip(*records.table)))
             json.loads(text, parse_constant=_refuse)
             raise
 
@@ -158,18 +173,13 @@ def _render(command: str, fmt: str, meta: dict, columns, rows, extra) -> str:
     lines = [f"# schema={SCHEMA_VERSION}", f"# command={command}"]
     lines += [f"# {key}={cell(value)}" for key, value in meta.items()]
     lines.append(",".join(columns))
-    for start in range(0, len(rows), _BATCH):
-        table = list(zip(*rows[start : start + _BATCH]))
-        template = []
-        for i, values in enumerate(table):
-            kinds = set(map(type, values))
-            if kinds == {float} and all(map(math.isfinite, values)):
-                template.append("%.17g")
-                continue
-            template.append("%s")  # str(value), as cell() writes all but floats
-            if any(issubclass(kind, float) for kind in kinds):
-                table[i] = list(map(cell, values))
-        lines.append("\n".join(map(",".join(template).__mod__, zip(*table))))
+    formats, converts = [], []
+    for values in table:
+        kinds = set(map(type, values))
+        finite = kinds == {float} and all(map(math.isfinite, values))
+        formats.append("%.17g" if finite else "%s")  # %s: str(value), as cell() writes all but floats
+        converts.append(cell if not finite and any(issubclass(k, float) for k in kinds) else None)
+    lines += _batches(table, converts, ",".join(formats), "\n")
     lines.append("")
     return "\n".join(lines)
 
@@ -205,20 +215,21 @@ def _load_pair(path: str) -> Pair:
 
 
 def _pairs_artifact(meta: dict, pairs: np.ndarray) -> tuple:
-    """The artifact of a (count, 8) array of pairs, rows in _PAIR_COLUMNS order."""
-    values = pairs.tolist()
-    rows = [[i, *row] for i, row in enumerate(values)]
-    return meta, ("index",) + _PAIR_COLUMNS, rows, lambda: {
-        "pairs": _Records(("type", ("a", 4), ("b", 4)), [("matrix", *row) for row in values])
+    """The artifact of a (count, 8) array of pairs, columns in _PAIR_COLUMNS order."""
+    values = pairs.T.tolist()
+    table = [range(len(pairs)), *values]
+    return meta, ("index",) + _PAIR_COLUMNS, table, lambda: {
+        "pairs": _Records(("type", ("a", 4), ("b", 4)), [["matrix"] * len(pairs), *values])
     }
 
 
 # ---------------------------------------------------------------------------
 # command handlers
 #
-# Each returns (meta, columns, rows, extra) for _render: meta is the CSV
-# header and the leading JSON keys, columns and rows are the CSV table, and
-# extra builds what only JSON prints, and runs only for JSON.
+# Each returns (meta, columns, table, extra) for _render: meta is the CSV
+# header and the leading JSON keys, columns and table are the CSV table's
+# names and its values, one equal-length list per column, and extra builds
+# what only JSON prints, and runs only for JSON.
 # ---------------------------------------------------------------------------
 
 
@@ -234,7 +245,7 @@ def _cmd_traces(args) -> tuple:
     x, y, z = trace_geometry.trace_triple(pair)
     row = (x, y, z, trace_geometry.pi_map(pair).t)
     columns = ("x", "y", "z", "t")
-    return {}, columns, [row], lambda: dict(zip(columns, row))
+    return {}, columns, [[value] for value in row], lambda: dict(zip(columns, row))
 
 
 def _cmd_construct(args) -> tuple:
@@ -247,7 +258,7 @@ def _cmd_construct(args) -> tuple:
         pair = trace_geometry.construct_pair_from_traces(x, y, z)
         meta = {"source": "traces", "x": x, "y": y, "z": z}
     spec = pair_to_spec(pair)
-    return meta, _PAIR_COLUMNS, [spec["a"] + spec["b"]], lambda: spec
+    return meta, _PAIR_COLUMNS, [[value] for value in spec["a"] + spec["b"]], lambda: spec
 
 
 def _cmd_phi_iterate(args) -> tuple:
@@ -262,16 +273,16 @@ def _cmd_phi_iterate(args) -> tuple:
     def extra():
         return {"steps_to_negative": reached, "orbit": list(record.orbit)}
 
-    return meta, ("step", "t"), list(enumerate(record.orbit)), extra
+    return meta, ("step", "t"), [range(len(record.orbit)), record.orbit], extra
 
 
 def _cmd_fiber_image(args) -> tuple:
     analytic = list(gap_dynamics.fiber_image_interval(args.t))
     numeric = list(gap_dynamics.fiber_image_numeric(args.t, args.grid_points))
     meta = {"t": args.t, "grid_points": args.grid_points}
-    rows = [["analytic", *analytic], ["numeric", *numeric]]
+    table = [("analytic", "numeric"), *zip(analytic, numeric)]
     columns = ("source", "lower", "upper")
-    return meta, columns, rows, lambda: {"analytic": analytic, "numeric": numeric}
+    return meta, columns, table, lambda: {"analytic": analytic, "numeric": numeric}
 
 
 def _cmd_orbit(args) -> tuple:
@@ -279,8 +290,8 @@ def _cmd_orbit(args) -> tuple:
     orbit = gap_dynamics.wordmap_orbit(pair, args.depth, args.max_points)
     meta = {"depth": args.depth, "max_points": args.max_points, "points": len(orbit)}
     columns = ("path", "x", "t")
-    rows = list(zip(orbit.paths, orbit.x.tolist(), orbit.t.tolist()))
-    return meta, columns, rows, lambda: {"orbit": _Records(columns, rows)}
+    table = [orbit.paths, orbit.x.tolist(), orbit.t.tolist()]
+    return meta, columns, table, lambda: {"orbit": _Records(columns, table)}
 
 
 def _cmd_gap_profile(args) -> tuple:
@@ -293,8 +304,8 @@ def _cmd_gap_profile(args) -> tuple:
         "note": GAP_NOTE,
     }
     columns = ("n", "dim", "gap")
-    rows = profile.rows()
-    return meta, columns, rows, lambda: {"levels": _Records(columns, rows)}
+    table = list(zip(*profile.rows()))
+    return meta, columns, table, lambda: {"levels": _Records(columns, table)}
 
 
 def _cmd_defect(args) -> tuple:
@@ -302,14 +313,12 @@ def _cmd_defect(args) -> tuple:
     _require(args.trials >= 1, "--trials must be at least 1")
     pair = _load_pair(args.pair)
     word = Word.from_string(args.word)
-    rng = np.random.default_rng(args.seed)
-    dim = args.level + 1
-    vectors = np.empty((dim, args.trials), dtype=complex)
-    for trial in range(args.trials):
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        vectors[:, trial] = v / np.linalg.norm(v)
-    lhs, rhs = spectral.word_defect_check(pair, word, args.level, vectors)
-    rows = [[trial, float(l), float(r)] for trial, (l, r) in enumerate(zip(lhs, rhs))]
+    # each trial's real then imaginary normals, in stream order; one norm per
+    # trial, as a norm over all trials may round differently
+    draws = np.random.default_rng(args.seed).standard_normal((args.trials, 2, args.level + 1))
+    v = draws[:, 0] + 1j * draws[:, 1]
+    v /= np.array([np.linalg.norm(row) for row in v])[:, None]
+    lhs, rhs = spectral.word_defect_check(pair, word, args.level, np.ascontiguousarray(v.T))
     max_violation = np.max(lhs - rhs)
     meta = {
         "word": word.to_string(),
@@ -319,7 +328,8 @@ def _cmd_defect(args) -> tuple:
         "max_violation": float(max_violation),
     }
     columns = ("trial", "lhs", "rhs")
-    return meta, columns, rows, lambda: {"trials_data": _Records(columns, rows)}
+    table = [range(args.trials), lhs.tolist(), rhs.tolist()]
+    return meta, columns, table, lambda: {"trials_data": _Records(columns, table)}
 
 
 def _cmd_density(args) -> tuple:
@@ -331,13 +341,9 @@ def _cmd_density(args) -> tuple:
         "total": hist.total,
         "seed": hist.seed,
     }
-    counts = hist.counts.tolist()
-    rows = [
-        [row, col, count]
-        for row, line in enumerate(counts)
-        for col, count in enumerate(line)
-    ]
-    return meta, ("row", "col", "count"), rows, lambda: {"counts": counts}
+    cells = np.indices(hist.counts.shape).reshape(2, -1).tolist()
+    table = [*cells, hist.counts.ravel().tolist()]
+    return meta, ("row", "col", "count"), table, lambda: {"counts": hist.counts.tolist()}
 
 
 def _cmd_fiber_sample(args) -> tuple:
@@ -359,7 +365,7 @@ def _cmd_fiber_transport(args) -> tuple:
         "seed": demo.seed,
     }
     counts = demo.counts.tolist()
-    return meta, ("bin", "count"), list(enumerate(counts)), lambda: {"counts": counts}
+    return meta, ("bin", "count"), [range(len(counts)), counts], lambda: {"counts": counts}
 
 
 # ---------------------------------------------------------------------------

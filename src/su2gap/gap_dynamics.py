@@ -130,13 +130,27 @@ def _dedup_keys(x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return kx * (1 << 32) + kt
 
 
+def _new_cells(keys: np.ndarray, seen: np.ndarray) -> tuple:
+    """The distinct keys not in seen, ascending, and each one's first index in
+    keys, its smallest: so any argsort serves, not only np.unique's stable
+    one, which takes about five times as long on 60,000 keys."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    cells, first = keys[starts], np.minimum.reduceat(order, starts)
+    del keys, order, starts  # np.isin's arrays reuse their space: a lower peak RSS
+    new = ~np.isin(cells, seen, assume_unique=True)
+    return cells[new], first[new]
+
+
 def wordmap_orbit(pair: Pair, depth: int, max_points: int = 10000) -> Orbit:
     """Breadth-first closure of a pair under the four moves.
 
     Points are deduplicated by rounding Fricke coordinates to the 1e-6 grid
     (coordinates, not matrices, are what the downstream analysis consumes).
     Expansion order is deterministic: frontier in insertion order, moves in
-    declaration order, each point kept if its cell is new, up to max_points.
+    declaration order, each new cell kept at its first candidate (of least
+    index) at its depth, up to max_points.
     Each depth is one numpy pass with the rounding of apply_move and pi_map,
     exact to the bit; generators are kept only for the next depth's frontier.
     """
@@ -158,14 +172,12 @@ def wordmap_orbit(pair: Pair, depth: int, max_points: int = 10000) -> Orbit:
         images = ((square, b), (b, a), ((a[0], -a[1], -a[2], -a[3]), b), (product, b))
         coords = zip(*((2.0 * g[0], commutator_trace(g[1:], h[1:])) for g, h in images))
         x, t = (np.stack(c, axis=1).ravel() for c in coords)
-        keys = _dedup_keys(x, t)
-        cells, first = np.unique(keys, return_index=True)
-        new = ~np.isin(cells, seen, assume_unique=True)
-        fresh = np.sort(first[new])[: max_points - len(paths)]
+        cells, first = _new_cells(_dedup_keys(x, t), seen)
+        fresh = np.sort(first)[: max_points - len(paths)]
         if fresh.size == 0:
             break
         # not np.union1d: its first call imports numpy.ma, about 26 ms
-        seen = np.concatenate([seen, cells[new]])
+        seen = np.concatenate([seen, cells])
         a, b = (
             tuple(np.stack(c)[fresh & 3, fresh >> 2] for c in zip(*(im[k] for im in images)))
             for k in (0, 1)

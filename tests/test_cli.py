@@ -789,9 +789,10 @@ class TestRenderer:
     @given(rows=csv_tables(), batch=st.sampled_from([1, 2, 3, 1024]))
     def test_csv_rows_equal_per_cell_reference(self, rows, batch):
         columns = [f"c{i}" for i in range(len(rows[0]) if rows else 1)]
+        table = [list(column) for column in zip(*rows)]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(su2gap.cli, "_BATCH", batch)
-            text = su2gap.cli._render("cmd", "csv", {"seed": 3}, columns, rows, dict)
+            text = su2gap.cli._render("cmd", "csv", {"seed": 3}, columns, table, dict)
         lines = ["# schema=1", "# command=cmd", "# seed=3", ",".join(columns)]
         lines += [",".join(csv_cell(v) for v in row) for row in rows]
         assert text == "\n".join(lines) + "\n"
@@ -809,22 +810,22 @@ class TestRenderer:
     def test_records_equal_their_dicts(self, layout, batch):
         # the rows of a _Records are written as the dicts of its layout
         columns, rows = layout
+        records = su2gap.cli._Records(columns, [list(column) for column in zip(*rows)])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(su2gap.cli, "_BATCH", batch)
-            text = su2gap.cli._render(
-                "cmd", "json", {}, (), [], lambda: {"rows": su2gap.cli._Records(columns, rows)}
-            )
+            text = su2gap.cli._render("cmd", "json", {}, (), [], lambda: {"rows": records})
         expected = {"schema": 1, "command": "cmd", "rows": [record_dict(columns, row) for row in rows]}
         assert text == json.dumps(expected, indent=2, allow_nan=False) + "\n"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_record_raises(self, bad):
         rows = [[n, n + 1, 0.5 if n != 1500 else bad] for n in range(2000)]
-        records = su2gap.cli._Records(("n", "dim", "gap"), rows)
+        columns = ("n", "dim", "gap")
+        records = su2gap.cli._Records(columns, [list(column) for column in zip(*rows)])
         with pytest.raises(ConvergenceError, match="non-finite"):
             su2gap.cli._render("cmd", "json", {}, (), [], lambda: {"levels": records})
         with pytest.raises(ValueError):
-            json.dumps([dict(zip(records.columns, row)) for row in rows], allow_nan=False)
+            json.dumps([dict(zip(columns, row)) for row in rows], allow_nan=False)
 
     @pytest.mark.parametrize(
         "argv, key",
@@ -839,7 +840,8 @@ class TestRenderer:
         pair_file.write_text(json.dumps({"type": "fricke", "x": 0.3, "t": 0.7}))
         argv = [argv[0], "--pair", str(pair_file), *argv[1:], "--format", "json"]
         args = build_parser().parse_args(argv)
-        meta, columns, rows, _ = args.handler(args)
+        meta, columns, table, _ = args.handler(args)
+        rows = list(zip(*table))
         assert len(rows) > 20
         doc = {"schema": 1, "command": argv[0]} | meta | {key: [dict(zip(columns, row)) for row in rows]}
         monkeypatch.setattr(su2gap.cli, "_BATCH", 7)  # batch joins inside the records

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su2gap import (
     IDENTITY,
@@ -24,7 +26,7 @@ from su2gap import (
     pi_map,
     wordmap_orbit,
 )
-from su2gap.gap_dynamics import MOVES, ORBIT_DEDUP_GRID
+from su2gap.gap_dynamics import MOVES, ORBIT_DEDUP_GRID, _new_cells
 
 
 class TestEscapeIteration:
@@ -267,6 +269,24 @@ class TestWordmapOrbit:
         orbit = assert_matches_reference(pair, 12, 20000)
         assert len(orbit) == 21
         assert max(len(path) for path in orbit.paths) <= 7
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pool=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=8, unique=True),
+        data=st.data(),
+    )
+    def test_new_cells_equal_unique_and_isin(self, pool, data):
+        # oracle: np.unique's first occurrences, less the cells already seen;
+        # keys repeat a few pool values, tiled up to 60,000 long
+        keys = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=300))
+        keys = np.tile(np.array(keys, dtype=np.int64), data.draw(st.sampled_from([1, 3, 200])))
+        seen = np.array(data.draw(st.lists(st.sampled_from(pool), unique=True)), dtype=np.int64)
+        cells, first = np.unique(keys, return_index=True)
+        new = ~np.isin(cells, seen, assume_unique=True)
+        got = _new_cells(keys, seen)
+        for value, expected in zip(got, (cells[new], first[new])):
+            assert value.dtype == expected.dtype
+            np.testing.assert_array_equal(value, expected)
 
     def test_covering_radius_shrinks_with_depth(self):
         # oracle: covering radius of the emitted cloud over a grid of D
