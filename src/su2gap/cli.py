@@ -10,18 +10,20 @@ JSON is laid out as json.dumps(doc, indent=2, allow_nan=False) plus a newline:
 2-space indent, non-ASCII and control characters as \\uXXXX escapes, floats as
 their Python repr, and the keys schema, command, the header keys, then the
 command's data, in that order.  Neither format carries a bare NaN or infinity.
-Handlers hand the renderer their tables as columns, and each format writes a
-table from one %-template, one % call per batch of rows.
+Handlers hand the renderer their tables as columns (lists or arrays), and each
+format writes a table from one %-template, one % call per batch of rows, to
+the output as it goes, after every check: a refused artifact leaves no file.
 Exit codes: 0 success; 1 invalid input, with the message of the check that
-rejects it (the library's names its parameter), or an unwritable --out;
-2 domain error; 3 numerical error (an eigensolver failure, an eigenvalue
-outside [-1, 1], or a non-finite value in the artifact).
+rejects it (the library's names its parameter), an unwritable --out, or a
+request too large for memory, in one line; 2 domain error; 3 numerical error (an
+eigensolver failure, an eigenvalue outside [-1, 1], or a non-finite value).
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import re
@@ -67,7 +69,7 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _non_finite(value) -> ConvergenceError:
-    return ConvergenceError(f"artifact holds a non-finite value: {value!r}")
+    return ConvergenceError(f"artifact holds a non-finite value: {float(value)!r}")
 
 
 def _dumps(value, level: int = 0) -> str:
@@ -76,18 +78,32 @@ def _dumps(value, level: int = 0) -> str:
     return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + "  " * level)
 
 
+def _kinds(values) -> set:
+    """The types of a column's values, an array's as .tolist() gives them,
+    once each of its floats is found finite (by one np.isfinite pass for a
+    float array); else ConvergenceError names the first that is not."""
+    array = isinstance(values, np.ndarray)
+    kinds = {type(values.dtype.type(0).item())} if array else set(map(type, values))
+    if kinds == {float} or any(issubclass(k, float) for k in kinds):
+        floats = values if array or kinds == {float} else [v for v in values if isinstance(v, float)]
+        if not (np.isfinite(floats).all() if array else all(map(math.isfinite, floats))):
+            raise _non_finite(next(v for v in floats if not math.isfinite(v)))
+    return kinds
+
+
 def _batches(table: list, converts: list, row: str, sep: str):
     """The rows of a table of equal-length columns as text, _BATCH rows per
     string, each one % of the joined row templates on cells interleaved by
-    slice; converts holds each column's conversion to its slot's argument,
-    or None where the slot takes the value itself."""
+    slice, led by sep after the first; converts holds each column's conversion
+    to its slot's argument, or None where the slot takes the value itself."""
     count, width = len(table[0]) if table else 0, len(table)
     for start in range(0, count, _BATCH):
         cells = [None] * (min(_BATCH, count - start) * width)
         for i, (values, convert) in enumerate(zip(table, converts)):
             values = values[start : start + _BATCH]
+            values = values.tolist() if isinstance(values, np.ndarray) else values
             cells[i::width] = values if convert is None else map(convert, values)
-        yield sep.join([row] * (len(cells) // width)) % tuple(cells)
+        yield (sep if start else "") + sep.join([row] * (len(cells) // width)) % tuple(cells)
 
 
 class _Records:
@@ -95,24 +111,23 @@ class _Records:
     the dicts of its declared layout would be without building them.
 
     Each entry of layout is a key, which takes the next column of table, or a
-    (key, width) pair, which takes a list of the next width columns.  The
-    columns are equal-length sequences of JSON scalars: str, int, float, bool
-    or None.  One %-template per table writes every record: a %r slot for a
-    column of ints or of finite floats, and %s on the JSON text of any other."""
+    (key, width) pair, which takes a list of the next width columns.  Columns
+    are equal-length sequences of JSON scalars (str, int, float, bool, None)
+    or arrays of ints or floats.  One %-template per table writes every record:
+    a %r slot for a column of ints or of floats, and %s on the JSON text of any other."""
 
     def __init__(self, layout: tuple, table: list):
         self.layout, self.table = layout, table
 
-    def parts(self) -> list:
-        """The list's text in pieces, one per batch of records."""
+    def parts(self):
+        """The list's text in pieces, once every column has passed its check."""
         if not len(self.table[0]):
             return ["[]"]
         slots, converts = [], []
         for values in self.table:
-            kinds = set(map(type, values))
-            exact = kinds == {int} or kinds == {float} and all(map(math.isfinite, values))
+            kinds = _kinds(values)
+            exact = kinds == {int} or kinds == {float}
             slots.append("%r" if exact else "%s")
-            # json.dumps raises on NaN or infinity
             converts.append(None if exact else _encode_str if kinds == {str} else _dumps)
         slots, fields = iter(slots), []
         for column in self.layout:
@@ -121,23 +136,22 @@ class _Records:
             inner = ",\n        ".join(next(slots) for _ in range(width))
             fields.append(f"{name}: [\n        {inner}\n      ]" if width else f"{name}: {next(slots)}")
         template = "{\n      " + ",\n      ".join(fields) + "\n    }"
-        texts = _batches(self.table, converts, template, ",\n    ")
-        parts = [part for text in texts for part in (",\n    ", text)]
-        return ["[\n    ", *parts[1:], "\n  ]"]
+        return itertools.chain(["[\n    "], _batches(self.table, converts, template, ",\n    "), ["\n  ]"])
 
 
 def _refuse(constant: str):
     """json.loads' hook for NaN, Infinity and -Infinity: the artifact's error."""
-    raise _non_finite(float(constant))
+    raise _non_finite(constant)
 
 
-def _render(command: str, fmt: str, meta: dict, columns, table, extra) -> str:
-    """The artifact text for one command: the only place CSV and JSON are written.
+def _render(command: str, fmt: str, meta: dict, columns, table, extra):
+    """The parts of the artifact text for one command, the only place CSV and
+    JSON are written; every check runs before the first part.
 
     CSV is the meta header, the column line and the rows of table, a list of
     equal-length columns, with floats at 17 significant digits; each column
-    takes %.17g if it holds only finite floats, else %s, on cell()'s text if
-    it holds any float.  JSON is {"schema", "command"} | meta | extra(), and
+    takes %.17g if it holds only floats, else %s, on cell()'s text if it
+    holds any float.  JSON is {"schema", "command"} | meta | extra(), and
     only JSON calls extra; a key of extra() that is also in meta keeps meta's
     position and takes extra()'s value.  The JSON text is that of
     json.dumps(doc, indent=2, allow_nan=False) plus a newline.  json.dumps
@@ -151,37 +165,34 @@ def _render(command: str, fmt: str, meta: dict, columns, table, extra) -> str:
         doc = {"schema": SCHEMA_VERSION, "command": command} | meta | extra()
         try:
             if not any(isinstance(value, _Records) for value in doc.values()):
-                return _dumps(doc) + "\n"
-            parts = []
-            for key, value in doc.items():
-                parts.append(("," if parts else "{") + f"\n  {_encode_str(key)}: ")
-                parts += value.parts() if isinstance(value, _Records) else [_dumps(value, 1)]
-            parts.append("\n}\n")
-            return "".join(parts)
-        except ValueError:  # json.dumps names no value; json.loads meets the first
-            text = json.dumps(doc, default=lambda records: list(zip(*records.table)))
+                yield _dumps(doc) + "\n"
+                return
+            # json.dumps of each other value, and the checks of each record list
+            values = [v.parts() if isinstance(v, _Records) else [_dumps(v, 1)] for v in doc.values()]
+        except (ValueError, ConvergenceError):  # json.loads meets the first non-finite value
+            text = json.dumps(doc, default=lambda v: v.tolist() if isinstance(v, np.generic) else list(zip(*v.table)))
             json.loads(text, parse_constant=_refuse)
             raise
+        for i, (key, parts) in enumerate(zip(doc, values)):
+            yield ("," if i else "{") + f"\n  {_encode_str(key)}: "
+            yield from parts
+        yield "\n}\n"
+        return
 
     def cell(value) -> str:
-        if not isinstance(value, float):
-            return str(value)
-        if not math.isfinite(value):
-            raise _non_finite(value)
-        return f"{value:.17g}"
+        return f"{value:.17g}" if isinstance(value, float) else str(value)
 
+    _kinds(meta.values())  # the header's floats are finite
     lines = [f"# schema={SCHEMA_VERSION}", f"# command={command}"]
     lines += [f"# {key}={cell(value)}" for key, value in meta.items()]
     lines.append(",".join(columns))
     formats, converts = [], []
-    for values in table:
-        kinds = set(map(type, values))
-        finite = kinds == {float} and all(map(math.isfinite, values))
-        formats.append("%.17g" if finite else "%s")  # %s: str(value), as cell() writes all but floats
-        converts.append(cell if not finite and any(issubclass(k, float) for k in kinds) else None)
-    lines += _batches(table, converts, ",".join(formats), "\n")
-    lines.append("")
-    return "\n".join(lines)
+    for kinds in map(_kinds, table):
+        formats.append("%.17g" if kinds == {float} else "%s")  # %s: str(value), as cell() writes all but floats
+        converts.append(cell if kinds != {float} and any(issubclass(k, float) for k in kinds) else None)
+    texts = _batches(table, converts, ",".join(formats) + "\n", "")
+    yield "\n".join(lines) + "\n" + next(texts, "")  # a small table is one part
+    yield from texts
 
 
 def _require(condition: bool, message: str) -> None:
@@ -216,10 +227,9 @@ def _load_pair(path: str) -> Pair:
 
 def _pairs_artifact(meta: dict, pairs: np.ndarray) -> tuple:
     """The artifact of a (count, 8) array of pairs, columns in _PAIR_COLUMNS order."""
-    values = pairs.T.tolist()
-    table = [range(len(pairs)), *values]
+    table = [range(len(pairs)), *pairs.T]
     return meta, ("index",) + _PAIR_COLUMNS, table, lambda: {
-        "pairs": _Records(("type", ("a", 4), ("b", 4)), [["matrix"] * len(pairs), *values])
+        "pairs": _Records(("type", ("a", 4), ("b", 4)), [["matrix"] * len(pairs), *pairs.T])
     }
 
 
@@ -228,8 +238,8 @@ def _pairs_artifact(meta: dict, pairs: np.ndarray) -> tuple:
 #
 # Each returns (meta, columns, table, extra) for _render: meta is the CSV
 # header and the leading JSON keys, columns and table are the CSV table's
-# names and its values, one equal-length list per column, and extra builds
-# what only JSON prints, and runs only for JSON.
+# names and its values, one equal-length sequence or array per column, and
+# extra builds what only JSON prints, and runs only for JSON.
 # ---------------------------------------------------------------------------
 
 
@@ -290,7 +300,7 @@ def _cmd_orbit(args) -> tuple:
     orbit = gap_dynamics.wordmap_orbit(pair, args.depth, args.max_points)
     meta = {"depth": args.depth, "max_points": args.max_points, "points": len(orbit)}
     columns = ("path", "x", "t")
-    table = [orbit.paths, orbit.x.tolist(), orbit.t.tolist()]
+    table = [orbit.paths, orbit.x, orbit.t]
     return meta, columns, table, lambda: {"orbit": _Records(columns, table)}
 
 
@@ -328,7 +338,7 @@ def _cmd_defect(args) -> tuple:
         "max_violation": float(max_violation),
     }
     columns = ("trial", "lhs", "rhs")
-    table = [range(args.trials), lhs.tolist(), rhs.tolist()]
+    table = [range(args.trials), lhs, rhs]
     return meta, columns, table, lambda: {"trials_data": _Records(columns, table)}
 
 
@@ -341,8 +351,7 @@ def _cmd_density(args) -> tuple:
         "total": hist.total,
         "seed": hist.seed,
     }
-    cells = np.indices(hist.counts.shape).reshape(2, -1).tolist()
-    table = [*cells, hist.counts.ravel().tolist()]
+    table = [*np.indices(hist.counts.shape).reshape(2, -1), hist.counts.ravel()]
     return meta, ("row", "col", "count"), table, lambda: {"counts": hist.counts.tolist()}
 
 
@@ -446,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gap-profile", help="per-level spectral gaps (evidence, not a certificate)"
     )
     sub.add_argument("--pair", required=True)
-    sub.add_argument("--nmax", type=int, default=50)
+    sub.add_argument("--nmax", type=int, default=50, help="O(nmax^2) memory, O(nmax^4) time")
     _add_common(sub, "csv")
     sub.set_defaults(handler=_cmd_gap_profile)
 
@@ -469,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
         "density", help="pushforward histogram of Haar pairs over the plane"
     )
     sub.add_argument("--samples", type=int, default=100000)
-    sub.add_argument("--bins", type=int, default=40)
+    sub.add_argument("--bins", type=int, default=40, help="bins per axis: builds bins^2 cells")
     sub.add_argument("--seed", type=int, default=0)
     _add_common(sub, "csv")
     sub.set_defaults(handler=_cmd_density)
@@ -507,7 +516,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text = _render(args.command, args.format, *args.handler(args))
+        parts = _render(args.command, args.format, *args.handler(args))
+        parts = itertools.chain([next(parts)], parts)  # every check has run; no file is open
     except ConvergenceError as exc:
         level = f" (level {exc.level})" if exc.level is not None else ""
         print(f"su2gap: numerical error{level}: {exc}", file=sys.stderr)
@@ -518,12 +528,15 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"su2gap: error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"su2gap: error: not enough memory for {' '.join(argv or sys.argv[1:])}", file=sys.stderr)
+        return 1
     if not args.out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return 0
     try:
         with open(args.out, "w") as handle:
-            handle.write(text)
+            handle.writelines(parts)
     except OSError as exc:
         print(f"su2gap: error: cannot write {args.out!r}: {exc}", file=sys.stderr)
         return 1

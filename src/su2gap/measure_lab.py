@@ -221,12 +221,13 @@ def _fiber_components(t: float, count: int, seed: int):
     rng_frame, rng_conj = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
     u = rng_frame.random((3, count))
     angle = np.arccos(np.sqrt(2.0 - t) / 2.0) * (2.0 * u[0] - 1.0)
-    cos = np.cos(angle)
-    r = np.minimum(1.0, (2.0 - t) / (4.0 * cos * cos))
-    along, across = np.sqrt(1.0 - r), np.sqrt(r)
     psi = 2.0 * np.pi * u[1:]
+    cos = np.cos(angle)
     zero = np.zeros(count)
     a = (np.sin(angle), cos, zero, zero)
+    r = np.minimum(1.0, (2.0 - t) / (4.0 * cos * cos))
+    along, across = np.sqrt(1.0 - r), np.sqrt(r)
+    del u, angle, r  # before b's four arrays are made
     b = (along * np.cos(psi[0]), along * np.sin(psi[0]), across * np.cos(psi[1]), across * np.sin(psi[1]))
     return (a, b), rng_conj
 
@@ -257,11 +258,16 @@ def sample_fiber(t: float, count: int, seed: int) -> np.ndarray:
     Haar conjugators.  An element off unit norm raises SU2Element's ValueError.
     """
     (a, b), rng_conj = _fiber_components(t, count, seed)
-    k = tuple(haar_quaternions(rng_conj, count).T)
-    k_inverse = (k[0], -k[1], -k[2], -k[3])
-    # the columns (w, x, y, z) of k a k^-1, then of k b k^-1
-    columns = [c for g in (a, b) for c in quaternion_product(quaternion_product(k, g), k_inverse)]
-    return _unit_pairs(np.column_stack(columns))
+    k = haar_quaternions(rng_conj, count).T
+    pairs = np.empty((count, 8))
+    # the columns (w, x, y, z) of k a k^-1, then of k b k^-1, _ROW_BLOCK rows at a time
+    for start in range(0, count, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        w, x, y, z = k[:, rows]
+        for j, g in enumerate((a, b)):
+            kgk = quaternion_product(quaternion_product((w, x, y, z), [c[rows] for c in g]), (w, -x, -y, -z))
+            np.stack(kgk, axis=1, out=pairs[rows, 4 * j : 4 * j + 4])
+    return _unit_pairs(pairs)
 
 
 @dataclass(frozen=True, eq=False)

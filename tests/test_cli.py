@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import su2gap.cli
+import su2gap.gap_dynamics
 import su2gap.measure_lab
 import su2gap.spectral
 import su2gap.su2_core
@@ -496,6 +497,43 @@ class TestExitCodes:
             assert "non-finite value: -inf" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_value_leaves_existing_out_unchanged(self, tmp_path, monkeypatch, capsys, fmt):
+        # the artifact is written as it is rendered, so a value past the first
+        # batch must be refused before the first part reaches the file
+        pair_file = tmp_path / "pair.json"
+        pair_file.write_text(json.dumps({"type": "fricke", "x": 0.3, "t": 0.7}))
+        wordmap_orbit = su2gap.gap_dynamics.wordmap_orbit
+
+        def with_nan(*args):
+            orbit = wordmap_orbit(*args)
+            orbit.t[2100] = math.nan
+            return orbit
+
+        monkeypatch.setattr(su2gap.gap_dynamics, "wordmap_orbit", with_nan)
+        out = tmp_path / f"orbit.{fmt}"
+        out.write_bytes(b"an earlier artifact\n")
+        argv = ["orbit", "--pair", str(pair_file), "--depth", "12", "--max-points", "2500"]
+        assert run_cli(*argv, "--format", fmt, "--out", str(out)) == 3
+        assert "non-finite value: nan" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier artifact\n"
+
+    def test_memory_error_exit_one_in_one_line(self, tmp_path, monkeypatch, capsys):
+        # no real allocation: the handler raises as numpy does for an array too
+        # large for memory
+        def too_large(args):
+            raise MemoryError("Unable to allocate 3.73 TiB for an array")
+
+        monkeypatch.setattr(su2gap.cli, "_cmd_orbit", too_large)
+        monkeypatch.setattr(su2gap.cli, "_parser", build_parser)  # binds the patched handler
+        out = tmp_path / "orbit.csv"
+        out.write_bytes(b"an earlier artifact\n")
+        argv = ["orbit", "--pair", "p.json", "--max-points", "500000000", "--out", str(out)]
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"su2gap: error: not enough memory for {' '.join(argv)}\n"
+        assert out.read_bytes() == b"an earlier artifact\n"
+
     @pytest.mark.parametrize("scale", [1.0 + 1e-8, math.nan], ids=["off-unit", "nan"])
     def test_sampled_pair_off_unit_exit_one(self, tmp_path, monkeypatch, capsys, scale):
         # one sampled row is scaled as it leaves the product; the unit check
@@ -633,6 +671,23 @@ class TestFormatsAgree:
             assert all(self.same(c, v) for c, v in zip(row, values)), (row, values)
 
 
+class TestStreamedOutput:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_out_file_and_stdout_carry_the_same_bytes(self, tmp_path, capsys, fmt):
+        # 2,500 rows, so both the file and stdout take several batches
+        _, pair_file = run_to_file(tmp_path, "pair.json", "sample", "--seed", "3")
+        argv = ["orbit", "--pair", str(pair_file), "--depth", "12", "--max-points", "2500", "--format", fmt]
+        capsys.readouterr()
+        assert run_cli(*argv) == 0
+        printed = capsys.readouterr().out
+        code, out = run_to_file(tmp_path, f"orbit.{fmt}", *argv)
+        assert code == 0
+        assert out.read_text() == printed
+        # CSV: five header lines and the column line before the rows
+        points = json.loads(printed)["points"] if fmt == "json" else printed.count("\n") - 6
+        assert points == 2500
+
+
 class TestParserReuse:
     # defaults differ by command (sample writes JSON, phi-iterate CSV), and a
     # usage error sits between runs, so a value left over from one call
@@ -768,6 +823,33 @@ def csv_tables(draw):
     return draw(st.lists(row, max_size=8))
 
 
+# float64 array entries: the edge cases of repr and %.17g, and the non-finite
+# values the renderer must refuse
+ARRAY_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1e-310, 1e16, 1e-5, math.inf, -math.inf, math.nan]
+)
+ARRAY_INTS = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def array_tables(draw):
+    """Equal-length float64 and int64 array columns."""
+    count = draw(st.integers(0, 7))
+    kinds = draw(st.lists(st.sampled_from([ARRAY_FLOATS, ARRAY_INTS]), min_size=1, max_size=4))
+    dtypes = {ARRAY_FLOATS: np.float64, ARRAY_INTS: np.int64}
+    return [np.array(draw(st.lists(kind, min_size=count, max_size=count)), dtypes[kind]) for kind in kinds]
+
+
+def rendered(fmt: str, table: list, records: bool):
+    """_render's text for a table, or the message of the error it raises."""
+    columns = [f"c{i}" for i in range(len(table))]
+    extra = (lambda: {"rows": su2gap.cli._Records(tuple(columns), table)}) if records else dict
+    try:
+        return "".join(su2gap.cli._render("cmd", fmt, {"seed": 3}, columns, table, extra))
+    except ConvergenceError as exc:
+        return f"error: {exc}"
+
+
 class TestRenderer:
     """_render against the json module and the per-cell CSV writer; a batch
     size of a few rows puts batch joins inside small record lists and tables."""
@@ -781,7 +863,7 @@ class TestRenderer:
     def test_json_equals_json_dumps(self, meta, data, batch):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(su2gap.cli, "_BATCH", batch)
-            text = su2gap.cli._render("cmd", "json", meta, (), [], lambda: data)
+            text = "".join(su2gap.cli._render("cmd", "json", meta, (), [], lambda: data))
         doc = {"schema": su2gap.cli.SCHEMA_VERSION, "command": "cmd"} | meta | data
         assert text == json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
@@ -792,16 +874,27 @@ class TestRenderer:
         table = [list(column) for column in zip(*rows)]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(su2gap.cli, "_BATCH", batch)
-            text = su2gap.cli._render("cmd", "csv", {"seed": 3}, columns, table, dict)
+            text = "".join(su2gap.cli._render("cmd", "csv", {"seed": 3}, columns, table, dict))
         lines = ["# schema=1", "# command=cmd", "# seed=3", ",".join(columns)]
         lines += [",".join(csv_cell(v) for v in row) for row in rows]
         assert text == "\n".join(lines) + "\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=array_tables(), batch=st.sampled_from([1, 2, 3, 1024]))
+    def test_array_columns_render_as_their_lists(self, table, batch):
+        # an array column is written exactly as its .tolist(), and a
+        # non-finite entry is refused with the same message
+        lists = [column.tolist() for column in table]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(su2gap.cli, "_BATCH", batch)
+            for fmt, records in [("csv", False), ("json", True)]:
+                assert rendered(fmt, table, records) == rendered(fmt, lists, records)
 
     def test_records_past_the_first_batch(self):
         # 2,500 orbit-shaped records with a near miss in the second batch
         records = [{"path": "S" * (i % 5), "x": i / 7, "t": -i / 3} for i in range(2500)]
         records[1500] = {"path": "X", "x": 1, "t": 0.5}
-        text = su2gap.cli._render("cmd", "json", {}, (), [], lambda: {"orbit": records})
+        text = "".join(su2gap.cli._render("cmd", "json", {}, (), [], lambda: {"orbit": records}))
         expected = {"schema": 1, "command": "cmd", "orbit": records}
         assert text == json.dumps(expected, indent=2, allow_nan=False) + "\n"
 
@@ -813,7 +906,7 @@ class TestRenderer:
         records = su2gap.cli._Records(columns, [list(column) for column in zip(*rows)])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(su2gap.cli, "_BATCH", batch)
-            text = su2gap.cli._render("cmd", "json", {}, (), [], lambda: {"rows": records})
+            text = "".join(su2gap.cli._render("cmd", "json", {}, (), [], lambda: {"rows": records}))
         expected = {"schema": 1, "command": "cmd", "rows": [record_dict(columns, row) for row in rows]}
         assert text == json.dumps(expected, indent=2, allow_nan=False) + "\n"
 
@@ -823,7 +916,7 @@ class TestRenderer:
         columns = ("n", "dim", "gap")
         records = su2gap.cli._Records(columns, [list(column) for column in zip(*rows)])
         with pytest.raises(ConvergenceError, match="non-finite"):
-            su2gap.cli._render("cmd", "json", {}, (), [], lambda: {"levels": records})
+            "".join(su2gap.cli._render("cmd", "json", {}, (), [], lambda: {"levels": records}))
         with pytest.raises(ValueError):
             json.dumps([dict(zip(columns, row)) for row in rows], allow_nan=False)
 

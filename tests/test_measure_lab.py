@@ -31,7 +31,7 @@ from su2gap.measure_lab import (
     _haar_fricke_sum,
     _parabola_segment_distance,
 )
-from su2gap.su2_core import _ROW_BLOCK, commutator_trace, haar_quaternions
+from su2gap.su2_core import _ROW_BLOCK, commutator_trace, haar_quaternions, quaternion_product
 
 # chi-square 0.999 quantile at 49 degrees of freedom
 CHI2_CRIT_49_999 = 85.3505646085
@@ -399,6 +399,17 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_fiber_sample_forms_its_products_by_block(self):
+        # a 4 MiB result beside the frame's arrays, the conjugators and one
+        # block of products; forming every product whole took 17.0 MiB
+        tracemalloc.start()
+        try:
+            sample_fiber(0.5, 2**16, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.5 * 2**20
+
 
 class TestCellCounts:
     @pytest.mark.parametrize("bins", [2, 3, 7, 12, 40, 41, 97])
@@ -479,6 +490,16 @@ class TestSampleFiber:
 
     def test_determinism(self):
         np.testing.assert_array_equal(sample_fiber(0.7, 50, seed=33), sample_fiber(0.7, 50, seed=33))
+
+    @pytest.mark.parametrize("count", [1, 1000, _ROW_BLOCK + 3, 4 * _ROW_BLOCK])
+    @pytest.mark.parametrize("t", [-2.0, 0.5, 2.0])
+    def test_blocked_products_keep_the_bits(self, count, t):
+        # the reference forms each conjugation product on whole columns
+        (a, b), rng_conj = measure_lab._fiber_components(t, count, 1)
+        k = tuple(haar_quaternions(rng_conj, count).T)
+        k_inverse = (k[0], -k[1], -k[2], -k[3])
+        columns = [c for g in (a, b) for c in quaternion_product(quaternion_product(k, g), k_inverse)]
+        assert sample_fiber(t, count, 1).tobytes() == np.column_stack(columns).tobytes()
 
     def test_validation(self):
         with pytest.raises(ValueError):
