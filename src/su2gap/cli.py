@@ -33,8 +33,8 @@ import numpy as np
 
 from . import gap_dynamics, measure_lab, spectral, trace_geometry
 from .errors import ConvergenceError, DomainError
-from .su2_core import Pair, Word, _unit_pairs, haar_quaternions, pair_to_spec
-from .trace_geometry import pair_from_spec
+from .su2_core import Pair, Word, _unit_pairs, haar_quaternions
+from .trace_geometry import pair_from_spec, pair_to_spec
 
 SCHEMA_VERSION = 1
 GAP_NOTE = "truncated evidence, not a certificate"
@@ -221,7 +221,9 @@ def _load_pair(path: str) -> Pair:
         raise ValueError(f"pair file {path!r} does not contain a pair-spec record")
     try:
         return pair_from_spec(record)
-    except (KeyError, TypeError) as exc:
+    except DomainError:
+        raise
+    except ValueError as exc:
         raise ValueError(f"invalid pair-spec in {path!r}: {exc}") from exc
 
 

@@ -80,21 +80,22 @@ class Histogram2D:
         return np.linspace(-2.0, 2.0, self.bins_per_axis + 1)
 
 
-def _cell_counts(xs, ts, bins: int) -> np.ndarray:
-    """Counts of the points (x, t), clipped to [-2, 2]^2, in the cells of
-    np.histogram2d over the same linspace edges: a cell index from one
-    multiply, corrected against those edges, replaces the binary search."""
+def _cell_index(values, bins: int) -> np.ndarray:
+    """The cell of each value, clipped to [-2, 2], among the cells of
+    np.histogram over linspace(-2, 2, bins + 1): an index from one multiply,
+    corrected against those edges, replaces the binary search."""
     edges = np.linspace(-2.0, 2.0, bins + 1)
-    cells = np.zeros(len(xs), dtype=np.intp)
-    for values in (xs, ts):
-        v = np.clip(values, -2.0, 2.0)
-        index = ((v + 2.0) * (bins / 4.0)).astype(np.intp)
-        np.minimum(index, bins - 1, out=index)
-        index -= v < edges[index]
-        index += v >= edges[index + 1]
-        np.minimum(index, bins - 1, out=index)  # x = 2 closes the last cell
-        cells *= bins
-        cells += index
+    v = np.clip(values, -2.0, 2.0)
+    index = ((v + 2.0) * (bins / 4.0)).astype(np.intp)
+    np.minimum(index, bins - 1, out=index)
+    index -= v < edges[index]
+    index += v >= edges[index + 1]
+    return np.minimum(index, bins - 1, out=index)  # v = 2 closes the last cell
+
+
+def _cell_counts(xs, ts, bins: int) -> np.ndarray:
+    """Counts of the points (x, t) in the cells of np.histogram2d over [-2, 2]^2."""
+    cells = _cell_index(xs, bins) * bins + _cell_index(ts, bins)
     return np.bincount(cells, minlength=bins * bins).reshape(bins, bins)
 
 
@@ -298,13 +299,10 @@ def fiber_transport_demo(
     # are not conjugated
     (a, b), _ = _fiber_components(t, count, seed)
     values = commutator_trace(quaternion_product(a, a)[1:], b[1:])
-    counts, _ = np.histogram(
-        np.clip(values, -2.0, 2.0), bins=bins, range=(-2.0, 2.0)
-    )
     return TransportHistogram(
         source_t=float(t),
         values=values,
-        counts=counts.astype(np.int64),
+        counts=np.bincount(_cell_index(values, bins), minlength=bins),
         bins=bins,
         total=count,
         seed=seed,

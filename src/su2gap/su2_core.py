@@ -280,32 +280,3 @@ def evaluate_word(word: Word, pair: Pair) -> SU2Element:
     for let in word.letters:
         result = multiply(result, images[let])
     return result
-
-
-# ---------------------------------------------------------------------------
-# Pair-spec records (matrix form; see trace_geometry.pair_from_spec for the
-# fricke and traces forms)
-# ---------------------------------------------------------------------------
-
-
-def pair_to_spec(pair: Pair) -> dict:
-    """Structured record {"type": "matrix", "a": [...], "b": [...]}.
-
-    Each element is flattened to [re(alpha), im(alpha), re(beta), im(beta)].
-    """
-
-    return {"type": "matrix", "a": list(pair.a.quaternion), "b": list(pair.b.quaternion)}
-
-
-def pair_from_matrix_spec(spec: dict) -> Pair:
-    """Inverse of pair_to_spec for records with type "matrix"."""
-    if spec.get("type") != "matrix":
-        raise ValueError(f"expected a matrix pair-spec, got type {spec.get('type')!r}")
-
-    def element(values) -> SU2Element:
-        vals = [float(v) for v in values]
-        if len(vals) != 4:
-            raise ValueError("matrix pair-spec entries need 4 components")
-        return SU2Element(complex(vals[0], vals[1]), complex(vals[2], vals[3]))
-
-    return Pair(element(spec["a"]), element(spec["b"]))

@@ -1,5 +1,6 @@
 """Trace coordinates for pairs: the plane domain D, the solid region Omega,
-the quadratic trace identities, and one pair built from one point.
+the quadratic trace identities, one pair built from one point, and the
+codec of pair-spec records, whose fricke and traces forms are such points.
 
 Coordinates used throughout:
 
@@ -21,15 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .su2_core import (
-    IDENTITY,
-    Pair,
-    SU2Element,
-    commutator_trace,
-    multiply,
-    pair_from_matrix_spec,
-    trace,
-)
+from .su2_core import IDENTITY, Pair, SU2Element, commutator_trace, multiply, trace
 
 MEMBERSHIP_TOL = 1e-12
 CONSTRUCTION_TOL = 1e-10
@@ -184,21 +177,40 @@ def construct_pair_from_traces(x: float, y: float, z: float) -> Pair:
     return Pair(SU2Element(alpha_a + 0j, 0j), SU2Element(alpha_b + 0j, beta_b + 0.0))
 
 
-def pair_from_spec(spec: dict) -> Pair:
-    """Decode any of the three pair-spec record forms into a Pair.
+def pair_to_spec(pair: Pair) -> dict:
+    """The matrix pair-spec record, each element as [re(alpha), im(alpha), re(beta), im(beta)]."""
+    return {"type": "matrix", "a": list(pair.a.quaternion), "b": list(pair.b.quaternion)}
 
-    Supported types: "matrix" (raw components), "fricke" (keys x, t), and
-    "traces" (keys x, y, z).
+
+def _spec_value(spec: dict, key: str, element: bool = False):
+    """spec[key] as a float, or if `element` as the SU2Element of its 4 components."""
+    if key not in spec:
+        raise ValueError(f"{spec['type']} pair-spec has no key {key!r}")
+    try:
+        value = [float(v) for v in spec[key]] if element else float(spec[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{spec['type']} pair-spec {key!r} has a value of the wrong type: {spec[key]!r}") from None
+    if not element:
+        return value
+    if len(value) != 4:
+        raise ValueError("matrix pair-spec entries need 4 components")
+    return SU2Element(complex(value[0], value[1]), complex(value[2], value[3]))
+
+
+def pair_from_spec(spec: dict) -> Pair:
+    """Decode a pair-spec record: "matrix" (keys a, b, as pair_to_spec writes
+    them), "fricke" (keys x, t) or "traces" (keys x, y, z).
+
+    A malformed record raises ValueError naming the missing key or the value
+    of the wrong type; a point outside D or Omega raises DomainError.
     """
     kind = spec.get("type")
     if kind == "matrix":
-        return pair_from_matrix_spec(spec)
+        return Pair(_spec_value(spec, "a", element=True), _spec_value(spec, "b", element=True))
     if kind == "fricke":
-        return construct_pair_from_fricke(float(spec["x"]), float(spec["t"]))
+        return construct_pair_from_fricke(*(_spec_value(spec, key) for key in "xt"))
     if kind == "traces":
-        return construct_pair_from_traces(
-            float(spec["x"]), float(spec["y"]), float(spec["z"])
-        )
+        return construct_pair_from_traces(*(_spec_value(spec, key) for key in "xyz"))
     raise ValueError(f"unknown pair-spec type {kind!r}")
 
 

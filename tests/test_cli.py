@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,6 +265,12 @@ class TestOtherCommands:
             tmp_path, "gp.csv", "gap-profile", "--pair", str(pair_file), "--nmax", "3"
         )
         assert code == 0
+
+    def test_one_pair_fiber_sample_is_a_pair_file(self, tmp_path):
+        _, pair_file = run_to_file(tmp_path, "pair.json", "fiber-sample", "--t", "0.5", "--count", "1")
+        code, out = run_to_file(tmp_path, "traces.json", "traces", "--pair", str(pair_file), "--format", "json")
+        assert code == 0
+        assert abs(json.loads(out.read_text())["t"] - 0.5) < 1e-12
 
     def test_samplers_build_no_su2element(self, tmp_path, monkeypatch):
         # the sampled pairs stay one component array from the draw to the artifact
@@ -584,12 +591,84 @@ class TestExitCodes:
         assert err.startswith(f"su2gap: error: pair file {str(pair_file)!r}")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "record, reason",
+        [
+            pytest.param({"type": "fricke", "x": 0}, "fricke pair-spec has no key 't'", id="missing-key"),
+            pytest.param(
+                {"type": "matrix", "a": None, "b": [1, 0, 0, 0]},
+                "matrix pair-spec 'a' has a value of the wrong type: None",
+                id="null-element",
+            ),
+            pytest.param(
+                {"type": "matrix", "a": [1, 0, 0], "b": [1, 0, 0, 0]},
+                "matrix pair-spec entries need 4 components",
+                id="three-components",
+            ),
+            pytest.param(
+                {"type": "matrix", "a": [1, 0, 0, 0], "b": [1, "abc", 0, 0]},
+                "matrix pair-spec 'b' has a value of the wrong type: [1, 'abc', 0, 0]",
+                id="non-numeric-component",
+            ),
+            pytest.param({"type": "quaternion"}, "unknown pair-spec type 'quaternion'", id="unknown-type"),
+            pytest.param(
+                {"pairs": [{"type": "traces", "x": 0, "y": 0}]}, "traces pair-spec has no key 'z'", id="in-artifact"
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", [["traces"], ["orbit", "--depth", "2"]], ids=["traces", "orbit"])
+    def test_malformed_pair_spec_names_the_file(self, tmp_path, capsys, record, reason, command):
+        pair_file = tmp_path / "pair.json"
+        pair_file.write_text(json.dumps(record))
+        out = tmp_path / "out"
+        assert run_cli(command[0], "--pair", str(pair_file), *command[1:], "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"su2gap: error: invalid pair-spec in {str(pair_file)!r}: {reason}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "record",
+        [{"type": "fricke", "x": 2.0, "t": 0.0}, {"type": "traces", "x": 1.9, "y": 1.9, "z": -1.9}],
+        ids=["fricke", "traces"],
+    )
+    def test_pair_spec_outside_the_domain_exit_two(self, tmp_path, capsys, record):
+        pair_file = tmp_path / "pair.json"
+        pair_file.write_text(json.dumps(record))
+        out = tmp_path / "out"
+        assert run_cli("traces", "--pair", str(pair_file), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("su2gap: domain error: ") and "invalid pair-spec" not in err
+        assert not out.exists()
+
     def test_invalid_word(self, tmp_path):
         pair_file = tmp_path / "pair.json"
         pair_file.write_text(json.dumps({"type": "fricke", "x": 0.0, "t": 2.0}))
         assert (
             run_cli("defect", "--pair", str(pair_file), "--word", "xyz") == 1
         )
+
+
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the su2gap lines in README.md's code blocks."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line.partition("  #")[0].split() for line in readme.read_text().splitlines()]
+    return [words[1:] for words in lines if words[:1] == ["su2gap"]]
+
+
+class TestReadmeCommands:
+    """Every su2gap command line that README.md shows runs and exits 0."""
+
+    def test_the_block_is_found(self):
+        commands = readme_commands()
+        assert len(commands) >= 12
+        assert {argv[0] for argv in commands} == set(parser_commands())
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+    def test_command_runs(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(["construct", "--fricke", "0.3", "0.7", "--out", "pair.json"]) == 0
+        assert main(argv) == 0, capsys.readouterr().err
+        assert capsys.readouterr().out
 
 
 def parser_commands() -> list[str]:
@@ -959,7 +1038,7 @@ class TestRenderer:
             if isinstance(pairs, np.ndarray):  # fiber-sample: rows of (w, x, y, z) of a, then of b
                 specs = [{"type": "matrix", "a": row[:4], "b": row[4:]} for row in pairs.tolist()]
             else:
-                specs = [su2gap.su2_core.pair_to_spec(p) for p in pairs]
+                specs = [su2gap.pair_to_spec(p) for p in pairs]
             doc = {"schema": 1, "command": argv[0]} | meta | {"pairs": specs}
             code, out = run_to_file(tmp_path, "pairs.json", *argv, "--format", "json")
             assert code == 0

@@ -27,6 +27,7 @@ from su2gap import (
 from su2gap import measure_lab
 from su2gap.measure_lab import (
     _cell_counts,
+    _cell_index,
     _count_near,
     _haar_fricke_sum,
     _parabola_segment_distance,
@@ -426,6 +427,23 @@ class TestCellCounts:
             np.clip(xs, -2.0, 2.0), np.clip(ts, -2.0, 2.0), bins=bins, range=[[-2, 2], [-2, 2]]
         )
         np.testing.assert_array_equal(_cell_counts(xs, ts, bins), expected.astype(np.int64))
+
+    @pytest.mark.parametrize("bins", [2, 3, 7, 40, 41, 100, 333, 1000])
+    def test_cell_index_matches_histogram_on_and_beside_every_edge(self, rng, bins):
+        # the one-dimensional rule of fiber_transport_demo against np.histogram
+        edges = np.linspace(-2.0, 2.0, bins + 1)
+        beside = [np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
+        values = np.concatenate([edges, *beside, [-2.5, 2.5], rng.uniform(-2.5, 2.5, 20000)])
+        expected, _ = np.histogram(np.clip(values, -2.0, 2.0), bins=bins, range=(-2.0, 2.0))
+        np.testing.assert_array_equal(np.bincount(_cell_index(values, bins), minlength=bins), expected)
+
+    @pytest.mark.parametrize("t", [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
+    def test_transport_counts_match_histogram(self, t):
+        for seed in range(3):
+            demo = fiber_transport_demo(t, 2500, seed)
+            expected, _ = np.histogram(np.clip(demo.values, -2.0, 2.0), bins=40, range=(-2.0, 2.0))
+            np.testing.assert_array_equal(demo.counts, expected)
+            assert demo.counts.dtype == np.int64
 
 
 def fiber_pairs(t, count, seed):

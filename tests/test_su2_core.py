@@ -20,6 +20,7 @@ from su2gap import (
     haar_sample,
     inverse,
     multiply,
+    pair_from_spec,
     pair_to_spec,
     pi_map,
     trace,
@@ -27,7 +28,6 @@ from su2gap import (
 from su2gap.su2_core import (
     _unit_pairs,
     commutator_trace,
-    pair_from_matrix_spec,
     quaternion_product,
     reduce_letters,
 )
@@ -322,10 +322,6 @@ class TestWords:
 class TestPairSpec:
     def test_matrix_roundtrip(self, rng):
         pair = Pair(haar_sample(rng), haar_sample(rng))
-        back = pair_from_matrix_spec(pair_to_spec(pair))
+        back = pair_from_spec(pair_to_spec(pair))
         assert back.a.alpha == pair.a.alpha and back.a.beta == pair.a.beta
         assert back.b.alpha == pair.b.alpha and back.b.beta == pair.b.beta
-
-    def test_rejects_wrong_type(self):
-        with pytest.raises(ValueError):
-            pair_from_matrix_spec({"type": "fricke", "x": 0, "t": 2})

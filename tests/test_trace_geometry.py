@@ -1,7 +1,9 @@
-"""Trace identities, the domain D and region Omega, and the inverse
-constructions, each checked against direct 2x2 matrix arithmetic."""
+"""Trace identities, the domain D and region Omega, the inverse
+constructions and the pair-spec codec, each checked against direct 2x2
+matrix arithmetic."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from su2gap import (
     in_omega,
     multiply,
     pair_from_spec,
+    pair_to_spec,
     phi,
     pi_map,
     trace,
@@ -263,3 +266,51 @@ class TestPairSpecDispatch:
     def test_domain_error_propagates(self):
         with pytest.raises(DomainError):
             pair_from_spec({"type": "fricke", "x": 2.0, "t": 0.0})
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"type": "fricke", "x": 0.0}, "fricke pair-spec has no key 't'"),
+            ({"type": "matrix", "a": [1, 0, 0, 0]}, "matrix pair-spec has no key 'b'"),
+            ({"type": "traces", "x": 0, "y": None, "z": 0}, "traces pair-spec 'y' has a value of the wrong type"),
+            ({"type": "fricke", "x": [0.5], "t": 0}, "'x' has a value of the wrong type: [0.5]"),
+            ({"type": "fricke", "x": "abc", "t": 0}, "'x' has a value of the wrong type: 'abc'"),
+            ({"type": "matrix", "a": None, "b": [1, 0, 0, 0]}, "'a' has a value of the wrong type: None"),
+            ({"type": "matrix", "a": 1.0, "b": [1, 0, 0, 0]}, "'a' has a value of the wrong type: 1.0"),
+            ({"type": "matrix", "a": [1, 0, 0, 0], "b": [1, "abc", 0, 0]}, "wrong type: [1, 'abc', 0, 0]"),
+            ({"type": "matrix", "a": [1, 0, 0, 0], "b": [1, None, 0, 0]}, "wrong type: [1, None, 0, 0]"),
+            ({"type": "matrix", "a": [1, 0, 0], "b": [1, 0, 0, 0]}, "matrix pair-spec entries need 4 components"),
+            ({"type": ["matrix"]}, "unknown pair-spec type ['matrix']"),
+            ({"x": 0.0, "t": 2.0}, "unknown pair-spec type None"),
+        ],
+    )
+    def test_malformed_record_raises_value_error(self, spec, message):
+        # a plain ValueError naming the key or the value, never a KeyError
+        # or TypeError from inside the decoder
+        with pytest.raises(ValueError, match=re.escape(message)) as caught:
+            pair_from_spec(spec)
+        assert type(caught.value) is ValueError
+
+    def test_matrix_checks_a_wholly_before_b(self):
+        # an element's components, then its unit check, a before b
+        with pytest.raises(ValueError, match="not special unitary"):
+            pair_from_spec({"type": "matrix", "a": [2, 0, 0, 0], "b": [1, 0, 0]})
+        with pytest.raises(ValueError, match="need 4 components"):
+            pair_from_spec({"type": "matrix", "a": [1, 0, 0, 0, 0], "b": [2, 0, 0, 0]})
+        with pytest.raises(ValueError, match="'b' has a value of the wrong type: None"):
+            pair_from_spec({"type": "matrix", "a": [1, 0, 0, 0], "b": None})
+
+    def test_codec_lives_in_trace_geometry(self):
+        import su2gap
+        from su2gap import su2_core, trace_geometry
+
+        assert su2gap.pair_to_spec is trace_geometry.pair_to_spec
+        assert su2gap.pair_from_spec is trace_geometry.pair_from_spec
+        for name in ("pair_to_spec", "pair_from_spec", "pair_from_matrix_spec"):
+            assert not hasattr(su2_core, name)
+
+    def test_matrix_roundtrip_keeps_every_bit(self, rng):
+        pair = haar_pair(rng)
+        spec = pair_to_spec(pair)
+        assert spec == {"type": "matrix", "a": list(pair.a.quaternion), "b": list(pair.b.quaternion)}
+        assert pair_from_spec(spec) == pair
