@@ -9,7 +9,7 @@ Every sampler works on flat arrays of quaternion components (w, x, y, z),
 one numpy pass per block of Haar pairs or per fiber, so no per-sample Python
 code runs.  Products go through su2_core.quaternion_product and every
 commutator trace is the closed form su2_core.commutator_trace.  Haar pairs
-are drawn a block ahead on a worker thread, joined before each call returns.
+are drawn into two reused buffers by a worker thread, joined before each call returns.
 """
 
 from __future__ import annotations
@@ -20,41 +20,45 @@ import numpy as np
 
 from .su2_core import (
     _ROW_BLOCK,
-    _unit_components,
+    _normalize_rows,
     _unit_pairs,
     commutator_trace,
     haar_quaternions,
     quaternion_product,
 )
 
+_SLICE = 1 << 13  # pairs per per_block call: it bounds the temporaries
+
+
 def _haar_fricke_sum(rng: np.random.Generator, count: int, per_block):
     """Sum of per_block(x, t) over the (x, t) arrays of `count` Haar pairs,
-    in blocks of at most su2_core._ROW_BLOCK pairs.
+    _SLICE pairs at a time, from blocks of at most su2_core._ROW_BLOCK pairs.
 
-    A block of n pairs is one draw rng.standard_normal((2 n, 4)), made into
-    unit quaternions by su2_core._unit_components: a is its first n rows, b
-    its last n.  One worker thread draws every block, the first included,
-    one block ahead; the draw releases the GIL, so per_block runs beside it,
-    and future.result() raises a draw's exception here.  A call reads
-    exactly the first 2 * count rows of rng's stream (a row of norm < 1e-12
-    is redrawn from a child generator) and joins the worker before it
-    returns or raises.
+    A block of n pairs is one draw rng.standard_normal(out=...) of 2 n rows
+    into one of two buffers made once per call, normalized there in place
+    by su2_core._normalize_rows: a is its first n rows, b its last n, and x
+    and t come from views of them.  One worker thread draws every block, the
+    first included, one block ahead into the other buffer; the draw releases
+    the GIL, so per_block runs beside it, and future.result() raises a draw's
+    exception here.  A call reads exactly the first 2 * count rows of rng's
+    stream (a row of norm < 1e-12 is redrawn from a child generator) and
+    joins the worker before it returns or raises.
     """
     from concurrent.futures import ThreadPoolExecutor  # loaded only by calls that draw pairs
 
     def draw(start):
-        return pool.submit(rng.standard_normal, (2 * min(_ROW_BLOCK, count - start), 4))
+        out = buffers[start // _ROW_BLOCK % 2, : 2 * min(_ROW_BLOCK, count - start)]
+        return pool.submit(rng.standard_normal, out=out) if start < count else None
 
-    total = 0
+    total, buffers = 0, np.empty((2, 2 * min(count, _ROW_BLOCK), 4))
     with ThreadPoolExecutor(1) as pool:
         ahead = draw(0)
         for start in range(0, count, _ROW_BLOCK):
-            normals = ahead.result()
-            ahead = draw(start + _ROW_BLOCK) if start + _ROW_BLOCK < count else None
-            q = _unit_components(rng, normals)
-            del normals  # copied into q; only the draw ahead stays live
-            n = q.shape[1] // 2
-            total += per_block(2.0 * q[0, :n], commutator_trace(q[1:, :n], q[1:, n:]))
+            q, ahead = ahead.result(), draw(start + _ROW_BLOCK)
+            a, b = np.split(_normalize_rows(rng, q), 2)
+            for s in range(0, len(a), _SLICE):
+                u, v = a[s : s + _SLICE].T, b[s : s + _SLICE].T
+                total += per_block(2.0 * u[0], commutator_trace(u[1:], v[1:]))
     return total
 
 

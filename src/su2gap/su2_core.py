@@ -140,41 +140,41 @@ def conjugate(g: SU2Element, k: SU2Element) -> SU2Element:
 
 def haar_quaternions(rng: np.random.Generator, count: int) -> np.ndarray:
     """(count, 4) array of unit quaternions uniform on the 3-sphere: the rows
-    of rng.standard_normal((count, 4)), drawn and normalized by
-    _unit_components _ROW_BLOCK rows at a time, so the values are those of
-    q / np.linalg.norm(q, axis=1)[:, None] and a call holds little beyond
+    of rng.standard_normal((count, 4)), drawn and normalized in place by
+    _normalize_rows _ROW_BLOCK rows at a time, so the values are those of
+    q / np.linalg.norm(q, axis=1)[:, None] and a call holds one block beyond
     its result.  That is the transposed view of a C-contiguous (4, count)
-    block, so each component column (a row of `.T`) is contiguous for the
-    array products.  A call reads exactly `count` rows of rng's stream; a row
-    of norm < 1e-12 (about 1e-49 per row) is redrawn from a child generator
-    of its block.
+    array, into which each block is copied once, so each component column
+    (a row of `.T`) is contiguous for the array products.  A call reads
+    exactly `count` rows of rng's stream; a row of norm < 1e-12 (about
+    1e-49 per row) is redrawn from a child generator of its block.
     """
     q = np.empty((4, count))
     for start in range(0, count, _ROW_BLOCK):
         block = q[:, start : start + _ROW_BLOCK]
-        block[...] = _unit_components(rng, rng.standard_normal((block.shape[1], 4)))
+        block[...] = _normalize_rows(rng, rng.standard_normal((block.shape[1], 4))).T
     return q.T
 
 
-def _unit_components(rng: np.random.Generator, normals: np.ndarray) -> np.ndarray:
-    """The rows of the (rows, 4) draw `normals` as unit quaternions, in
-    C-contiguous (4, rows) component rows.
+def _normalize_rows(rng: np.random.Generator, q: np.ndarray) -> np.ndarray:
+    """The (rows, 4) draw `q` with each row divided by its norm, in place.
 
     The norm is summed in np.linalg.norm's order, ((w^2 + x^2) + y^2) + z^2.
-    Rows of norm < 1e-12 are redrawn, until none is left, from one child
-    generator rng.spawn(1)[0], spawned only when such a row occurs, so the
-    call reads nothing more of rng's own stream.
+    Rows of norm < 1e-12 are redrawn, in row order and all at once per pass,
+    until none is left, from one child generator rng.spawn(1)[0], spawned
+    only when such a row occurs, so the call reads nothing more of rng's
+    own stream.
     """
-    q = np.ascontiguousarray(normals.T)
+    w, x, y, z = q.T
     child = None
     while True:
-        norms = np.sqrt(((q[0] * q[0] + q[1] * q[1]) + q[2] * q[2]) + q[3] * q[3])
+        norms = np.sqrt(((w * w + x * x) + y * y) + z * z)
         bad = norms < 1e-12
         if not bad.any():
             break
         child = child or rng.spawn(1)[0]
-        q[:, bad] = child.standard_normal((int(bad.sum()), 4)).T
-    q /= norms
+        q[bad] = child.standard_normal((int(bad.sum()), 4))
+    q /= norms[:, None]
     return q
 
 

@@ -17,6 +17,7 @@ and the two are linked by t = x^2 + y^2 + z^2 - x*y*z - 2.
 from __future__ import annotations
 
 import math
+from numbers import Real
 from typing import NamedTuple
 
 import numpy as np
@@ -183,18 +184,18 @@ def pair_to_spec(pair: Pair) -> dict:
 
 
 def _spec_value(spec: dict, key: str, element: bool = False):
-    """spec[key] as a float, or if `element` as the SU2Element of its 4 components."""
+    """spec[key] as a float, or if `element` as the SU2Element of its list of 4
+    components; only real numbers pass, so a bool or a string of digits does not."""
     if key not in spec:
         raise ValueError(f"{spec['type']} pair-spec has no key {key!r}")
-    try:
-        value = [float(v) for v in spec[key]] if element else float(spec[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"{spec['type']} pair-spec {key!r} has a value of the wrong type: {spec[key]!r}") from None
-    if not element:
-        return value
-    if len(value) != 4:
+    value = spec[key]
+    items = value if element else [value]
+    if not isinstance(items, list) or not all(isinstance(v, Real) and not isinstance(v, bool) for v in items):
+        raise ValueError(f"{spec['type']} pair-spec {key!r} has a value of the wrong type: {value!r}")
+    if element and len(items) != 4:
         raise ValueError("matrix pair-spec entries need 4 components")
-    return SU2Element(complex(value[0], value[1]), complex(value[2], value[3]))
+    values = [float(v) for v in items]
+    return SU2Element(complex(*values[:2]), complex(*values[2:])) if element else values[0]
 
 
 def pair_from_spec(spec: dict) -> Pair:

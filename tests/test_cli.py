@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -492,9 +493,9 @@ class TestExitCodes:
         # put into the sampled array after the unit check
         artifact = su2gap.cli._pairs_artifact
 
-        def with_inf(meta, pairs):
-            pairs[1400, 5] = -math.inf
-            return artifact(meta, pairs)
+        def with_inf(meta, a, b):
+            b[1400, 1] = -math.inf
+            return artifact(meta, a, b)
 
         monkeypatch.setattr(su2gap.cli, "_pairs_artifact", with_inf)
         for argv in (["sample"], ["fiber-sample", "--t", "0.5"]):
@@ -540,6 +541,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == f"su2gap: error: not enough memory for {' '.join(argv)}\n"
         assert out.read_bytes() == b"an earlier artifact\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--count", "200000000"],
+            ["fiber-sample", "--t", "0.5", "--count", "200000000"],
+            ["density", "--samples", "2000000000", "--bins", "40000"],
+        ],
+        ids=["sample", "fiber-sample", "density"],
+    )
+    def test_real_memory_error_exit_one(self, tmp_path, argv):
+        # a child process caps its own address space at 2 GiB, so each
+        # command's first large array (4.8 GB or more) fails to allocate as it
+        # would on a machine without the memory; this process keeps its limits
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        out = tmp_path / "out"
+        argv = [*argv, "--out", str(out)]
+        package_root = os.path.dirname(os.path.dirname(su2gap.cli.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=package_root)
+        done = subprocess.run(
+            [sys.executable, "-m", "su2gap.cli", *argv],
+            env=env,
+            preexec_fn=cap_address_space,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr == f"su2gap: error: not enough memory for {' '.join(argv)}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("scale", [1.0 + 1e-8, math.nan], ids=["off-unit", "nan"])
     def test_sampled_pair_off_unit_exit_one(self, tmp_path, monkeypatch, capsys, scale):
@@ -609,6 +644,22 @@ class TestExitCodes:
                 {"type": "matrix", "a": [1, 0, 0, 0], "b": [1, "abc", 0, 0]},
                 "matrix pair-spec 'b' has a value of the wrong type: [1, 'abc', 0, 0]",
                 id="non-numeric-component",
+            ),
+            # strings and booleans are not numbers, though float() accepts them
+            pytest.param(
+                {"type": "matrix", "a": "1000", "b": [1, 0, 0, 0]},
+                "matrix pair-spec 'a' has a value of the wrong type: '1000'",
+                id="digit-string-element",
+            ),
+            pytest.param(
+                {"type": "matrix", "a": [1, 0, 0, 0], "b": [True, 0, 0, 0]},
+                "matrix pair-spec 'b' has a value of the wrong type: [True, 0, 0, 0]",
+                id="boolean-component",
+            ),
+            pytest.param(
+                {"type": "fricke", "x": " 0.7 ", "t": 0.5},
+                "fricke pair-spec 'x' has a value of the wrong type: ' 0.7 '",
+                id="padded-string-coordinate",
             ),
             pytest.param({"type": "quaternion"}, "unknown pair-spec type 'quaternion'", id="unknown-type"),
             pytest.param(
@@ -765,6 +816,20 @@ class TestStreamedOutput:
         # CSV: five header lines and the column line before the rows
         points = json.loads(printed)["points"] if fmt == "json" else printed.count("\n") - 6
         assert points == 2500
+
+    def test_sample_renders_its_draw_without_a_copy(self, tmp_path):
+        # the 1.22 MiB draw, one row block of it as it is normalized, and the
+        # renderer's batch; a (count, 8) copy of the draw beside it took 2.60 MiB.
+        # A first call keeps one-time allocations out of the peak.
+        argv = ["sample", "--count", "20000", "--format", "json", "--out", str(tmp_path / "pairs.json")]
+        assert run_cli(*argv) == 0
+        tracemalloc.start()
+        try:
+            assert run_cli(*argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.45 * 2**20
 
 
 class TestParserReuse:

@@ -281,10 +281,10 @@ class StreamStub:
         self.zero_rows, self.raise_after, self.error = zero_rows, raise_after, error
         self.child_zero_rows = child_zero_rows
 
-    def standard_normal(self, size):
+    def standard_normal(self, size=None, out=None):
         if self.raise_after is not None and self.row >= self.raise_after:
             raise self.error
-        out = self.rng.standard_normal(size)
+        out = self.rng.standard_normal(size, out=out)
         for row in self.zero_rows:
             if self.row <= row < self.row + len(out):
                 out[row - self.row] = 0.0
@@ -386,7 +386,7 @@ class TestNormalStream:
 
 
 class TestMemory:
-    """A call holds a few blocks of pairs at once, whatever its sample count."""
+    """A call holds two block buffers of pairs, whatever its sample count."""
 
     @pytest.mark.parametrize(
         "call, arg", [(pushforward_histogram, 12), (boundary_mass, 0.05)], ids=["histogram", "mass"]
@@ -399,6 +399,22 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "call, arg", [(pushforward_histogram, 40), (boundary_mass, 0.05)], ids=["histogram", "mass"]
+    )
+    def test_draws_are_normalized_in_their_buffers(self, call, arg):
+        # two 1 MiB block buffers, the norms of one block and the temporaries
+        # of one slice; a fresh draw per block and its component copy beside
+        # them took 4.5 MiB.  A first call keeps one-time allocations out.
+        call(1000, arg, 1)
+        tracemalloc.start()
+        try:
+            call(10**6, arg, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * 2**20
 
     def test_fiber_sample_forms_its_products_by_block(self):
         # a 4 MiB result beside the frame's arrays, the conjugators and one
