@@ -227,11 +227,11 @@ def _load_pair(path: str) -> Pair:
         raise ValueError(f"invalid pair-spec in {path!r}: {exc}") from exc
 
 
-def _pairs_artifact(meta: dict, a: np.ndarray, b: np.ndarray) -> tuple:
-    """The artifact of pairs from (count, 4) arrays a and b; its columns are views of theirs."""
-    columns = [*a.T, *b.T]
-    return meta, ("index",) + _PAIR_COLUMNS, [range(len(a)), *columns], lambda: {
-        "pairs": _Records(("type", ("a", 4), ("b", 4)), [["matrix"] * len(a), *columns])
+def _pairs_artifact(meta: dict, pairs: np.ndarray) -> tuple:
+    """The artifact of (count, 8) pair rows, (w, x, y, z) of a then of b; its columns are views."""
+    columns = list(pairs.T)
+    return meta, ("index",) + _PAIR_COLUMNS, [range(len(pairs)), *columns], lambda: {
+        "pairs": _Records(("type", ("a", 4), ("b", 4)), [["matrix"] * len(pairs), *columns])
     }
 
 
@@ -247,9 +247,9 @@ def _pairs_artifact(meta: dict, a: np.ndarray, b: np.ndarray) -> tuple:
 
 def _cmd_sample(args) -> tuple:
     _require(args.count >= 1, "--count must be at least 1")
-    # a then b of each pair, the rows haar_pair would draw in turn
-    q = _unit_pairs(haar_quaternions(np.random.default_rng(args.seed), 2 * args.count))
-    return _pairs_artifact({"seed": args.seed, "count": args.count}, q[0::2], q[1::2])
+    # rows 2i and 2i + 1 of the draw are a and b of pair i, as haar_pair draws them
+    pairs = haar_quaternions(np.random.default_rng(args.seed), 2 * args.count).reshape(-1, 8)
+    return _pairs_artifact({"seed": args.seed, "count": args.count}, _unit_pairs(pairs))
 
 
 def _cmd_traces(args) -> tuple:
@@ -359,7 +359,7 @@ def _cmd_density(args) -> tuple:
 
 def _cmd_fiber_sample(args) -> tuple:
     pairs = measure_lab.sample_fiber(args.t, args.count, args.seed)
-    return _pairs_artifact({"t": args.t, "count": args.count, "seed": args.seed}, pairs[:, :4], pairs[:, 4:])
+    return _pairs_artifact({"t": args.t, "count": args.count, "seed": args.seed}, pairs)
 
 
 def _cmd_fiber_transport(args) -> tuple:

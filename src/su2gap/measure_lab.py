@@ -259,16 +259,15 @@ def sample_fiber(t: float, count: int, seed: int) -> np.ndarray:
     every pair commutes exactly.
 
     The seed is split by SeedSequence.spawn(2): the first stream gives one
-    rng.random((3, count)) draw of (angle, psi1, psi2), the second the
-    Haar conjugators.  An element off unit norm raises SU2Element's ValueError.
+    rng.random((3, count)) draw of (angle, psi1, psi2), the second the Haar
+    conjugators, drawn per block.  An element off unit norm raises SU2Element's ValueError.
     """
     (a, b), rng_conj = _fiber_components(t, count, seed)
-    k = haar_quaternions(rng_conj, count).T
     pairs = np.empty((count, 8))
-    # the columns (w, x, y, z) of k a k^-1, then of k b k^-1, _ROW_BLOCK rows at a time
+    # the columns (w, x, y, z) of k a k^-1, then of k b k^-1, for a block of conjugators k at a time
     for start in range(0, count, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        w, x, y, z = k[:, rows]
+        w, x, y, z = haar_quaternions(rng_conj, min(_ROW_BLOCK, count - start)).T
         for j, g in enumerate((a, b)):
             kgk = quaternion_product(quaternion_product((w, x, y, z), [c[rows] for c in g]), (w, -x, -y, -z))
             np.stack(kgk, axis=1, out=pairs[rows, 4 * j : 4 * j + 4])

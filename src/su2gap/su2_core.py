@@ -139,21 +139,18 @@ def conjugate(g: SU2Element, k: SU2Element) -> SU2Element:
 
 
 def haar_quaternions(rng: np.random.Generator, count: int) -> np.ndarray:
-    """(count, 4) array of unit quaternions uniform on the 3-sphere: the rows
-    of rng.standard_normal((count, 4)), drawn and normalized in place by
+    """C-contiguous (count, 4) array of unit quaternions uniform on the
+    3-sphere: one rng.standard_normal((count, 4)) draw, normalized in place by
     _normalize_rows _ROW_BLOCK rows at a time, so the values are those of
-    q / np.linalg.norm(q, axis=1)[:, None] and a call holds one block beyond
-    its result.  That is the transposed view of a C-contiguous (4, count)
-    array, into which each block is copied once, so each component column
-    (a row of `.T`) is contiguous for the array products.  A call reads
-    exactly `count` rows of rng's stream; a row of norm < 1e-12 (about
-    1e-49 per row) is redrawn from a child generator of its block.
+    q / np.linalg.norm(q, axis=1)[:, None] and a call holds one block's
+    temporaries beyond its result.  A call reads exactly `count` rows of
+    rng's stream; a row of norm < 1e-12 (about 1e-49 per row) is redrawn from
+    a child generator of its block.
     """
-    q = np.empty((4, count))
+    q = rng.standard_normal((count, 4))
     for start in range(0, count, _ROW_BLOCK):
-        block = q[:, start : start + _ROW_BLOCK]
-        block[...] = _normalize_rows(rng, rng.standard_normal((block.shape[1], 4))).T
-    return q.T
+        _normalize_rows(rng, q[start : start + _ROW_BLOCK])
+    return q
 
 
 def _normalize_rows(rng: np.random.Generator, q: np.ndarray) -> np.ndarray:

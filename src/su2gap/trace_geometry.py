@@ -194,7 +194,10 @@ def _spec_value(spec: dict, key: str, element: bool = False):
         raise ValueError(f"{spec['type']} pair-spec {key!r} has a value of the wrong type: {value!r}")
     if element and len(items) != 4:
         raise ValueError("matrix pair-spec entries need 4 components")
-    values = [float(v) for v in items]
+    try:
+        values = [float(v) for v in items]
+    except OverflowError:  # a JSON integer past the float range
+        raise ValueError(f"{spec['type']} pair-spec {key!r} has a number too large for a float") from None
     return SU2Element(complex(*values[:2]), complex(*values[2:])) if element else values[0]
 
 

@@ -493,9 +493,9 @@ class TestExitCodes:
         # put into the sampled array after the unit check
         artifact = su2gap.cli._pairs_artifact
 
-        def with_inf(meta, a, b):
-            b[1400, 1] = -math.inf
-            return artifact(meta, a, b)
+        def with_inf(meta, pairs):
+            pairs[1400, 5] = -math.inf  # (w, x, y, z) of b fill columns 4 to 7
+            return artifact(meta, pairs)
 
         monkeypatch.setattr(su2gap.cli, "_pairs_artifact", with_inf)
         for argv in (["sample"], ["fiber-sample", "--t", "0.5"]):
@@ -660,6 +660,22 @@ class TestExitCodes:
                 {"type": "fricke", "x": " 0.7 ", "t": 0.5},
                 "fricke pair-spec 'x' has a value of the wrong type: ' 0.7 '",
                 id="padded-string-coordinate",
+            ),
+            # a JSON integer too large for a float
+            pytest.param(
+                {"type": "fricke", "x": 10**400, "t": 0.5},
+                "fricke pair-spec 'x' has a number too large for a float",
+                id="huge-fricke-x",
+            ),
+            pytest.param(
+                {"type": "traces", "x": 0.5, "y": -(10**400), "z": 0.5},
+                "traces pair-spec 'y' has a number too large for a float",
+                id="huge-traces-y",
+            ),
+            pytest.param(
+                {"type": "matrix", "a": [1, 0, 10**400, 0], "b": [1, 0, 0, 0]},
+                "matrix pair-spec 'a' has a number too large for a float",
+                id="huge-matrix-component",
             ),
             pytest.param({"type": "quaternion"}, "unknown pair-spec type 'quaternion'", id="unknown-type"),
             pytest.param(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import su2gap.cli as cli
 from su2gap import (
     IDENTITY,
     Pair,
@@ -216,8 +217,9 @@ class TestHaarSampling:
         np.testing.assert_array_equal(got, spliced / np.linalg.norm(spliced, axis=1)[:, None])
 
     def test_traced_peak_is_near_the_result(self):
-        # the draw is normalized a block of rows at a time, so neither the
-        # whole draw nor a component copy of it is live beside the result;
+        # the draw is the result, normalized in place a block of rows at a
+        # time, so only one block's norms and temporaries are live beside it
+        # (a per-block draw and its transposed copy took 0.88 MiB more);
         # a first small call keeps one-time allocations out of the peak
         haar_quaternions(np.random.default_rng(1), 4)
         tracemalloc.start()
@@ -227,13 +229,28 @@ class TestHaarSampling:
         finally:
             tracemalloc.stop()
         assert q.nbytes == 8 * 2**20
-        assert peak < q.nbytes + 2 * 2**20
+        assert peak < q.nbytes + 0.6 * 2**20
 
-    def test_component_columns_are_contiguous(self, rng):
-        # the array products read the columns as rows of .T
+    def test_draw_is_returned_without_a_copy(self, rng, monkeypatch, tmp_path):
+        # the result is the C-contiguous draw, and `sample` hands the renderer
+        # a (count, 8) view of it; 8,193 pairs span two row blocks
         q = haar_quaternions(rng, 1000)
-        assert q.shape == (1000, 4)
-        assert q.T.flags.c_contiguous
+        assert q.shape == (1000, 4) and q.flags.c_contiguous
+        seen, pairs_artifact = {}, cli._pairs_artifact
+
+        def draw(*args):
+            seen["draw"] = haar_quaternions(*args)
+            return seen["draw"]
+
+        def artifact(meta, pairs):
+            seen["pairs"] = pairs
+            return pairs_artifact(meta, pairs)
+
+        monkeypatch.setattr(cli, "haar_quaternions", draw)
+        monkeypatch.setattr(cli, "_pairs_artifact", artifact)
+        assert cli.main(["sample", "--count", "8193", "--out", str(tmp_path / "pairs.json")]) == 0
+        assert seen["draw"].shape == (16386, 4) and seen["draw"].flags.c_contiguous
+        assert seen["pairs"].shape == (8193, 8) and np.shares_memory(seen["pairs"], seen["draw"])
 
     def test_seed_determinism(self):
         g = haar_sample(np.random.default_rng(123))
