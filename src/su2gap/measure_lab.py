@@ -75,20 +75,12 @@ class Histogram2D:
         if int(self.counts.sum()) != self.total:
             raise ValueError("histogram counts do not sum to the sample total")
 
-    @property
-    def x_edges(self) -> np.ndarray:
-        return np.linspace(-2.0, 2.0, self.bins_per_axis + 1)
 
-    @property
-    def t_edges(self) -> np.ndarray:
-        return np.linspace(-2.0, 2.0, self.bins_per_axis + 1)
-
-
-def _cell_index(values, bins: int) -> np.ndarray:
+def _cell_index(values, edges: np.ndarray) -> np.ndarray:
     """The cell of each value, clipped to [-2, 2], among the cells of
-    np.histogram over linspace(-2, 2, bins + 1): an index from one multiply,
-    corrected against those edges, replaces the binary search."""
-    edges = np.linspace(-2.0, 2.0, bins + 1)
+    np.histogram over edges = linspace(-2, 2, bins + 1): an index from one
+    multiply, corrected against those edges, replaces the binary search."""
+    bins = len(edges) - 1
     v = np.clip(values, -2.0, 2.0)
     index = ((v + 2.0) * (bins / 4.0)).astype(np.intp)
     np.minimum(index, bins - 1, out=index)
@@ -97,9 +89,11 @@ def _cell_index(values, bins: int) -> np.ndarray:
     return np.minimum(index, bins - 1, out=index)  # v = 2 closes the last cell
 
 
-def _cell_counts(xs, ts, bins: int) -> np.ndarray:
-    """Counts of the points (x, t) in the cells of np.histogram2d over [-2, 2]^2."""
-    cells = _cell_index(xs, bins) * bins + _cell_index(ts, bins)
+def _cell_counts(xs, ts, edges: np.ndarray) -> np.ndarray:
+    """Counts of the points (x, t) in the cells of np.histogram2d over [-2, 2]^2,
+    with the edges = linspace(-2, 2, bins + 1) of both axes."""
+    bins = len(edges) - 1
+    cells = _cell_index(xs, edges) * bins + _cell_index(ts, edges)
     return np.bincount(cells, minlength=bins * bins).reshape(bins, bins)
 
 
@@ -115,8 +109,8 @@ def pushforward_histogram(sample_count: int, bins: int, seed: int) -> Histogram2
         raise ValueError("sample_count must be at least 1")
     if bins < 2:
         raise ValueError("bins must be at least 2")
-    rng = np.random.default_rng(seed)
-    counts = _haar_fricke_sum(rng, sample_count, lambda xs, ts: _cell_counts(xs, ts, bins))
+    rng, edges = np.random.default_rng(seed), np.linspace(-2.0, 2.0, bins + 1)
+    counts = _haar_fricke_sum(rng, sample_count, lambda xs, ts: _cell_counts(xs, ts, edges))
     return Histogram2D(
         counts=counts,
         bins_per_axis=bins,
@@ -201,7 +195,7 @@ def boundary_mass(sample_count: int, delta: float, seed: int) -> float:
     """
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
-    if delta <= 0:
+    if not delta > 0:  # NaN fails this too
         raise ValueError("delta must be positive")
     rng = np.random.default_rng(seed)
     hits = _haar_fricke_sum(rng, sample_count, lambda xs, ts: _count_near(xs, ts, delta))
@@ -305,7 +299,7 @@ def fiber_transport_demo(
     return TransportHistogram(
         source_t=float(t),
         values=values,
-        counts=np.bincount(_cell_index(values, bins), minlength=bins),
+        counts=np.bincount(_cell_index(values, np.linspace(-2.0, 2.0, bins + 1)), minlength=bins),
         bins=bins,
         total=count,
         seed=seed,

@@ -249,34 +249,26 @@ def gap_profile(pair: Pair, n_max: int) -> GapProfile:
 def word_defect_check(pair: Pair, word: Word, n: int, v: np.ndarray):
     """Displacement of a word against the word-length bound at level n.
 
-    Returns (lhs, rhs) with
+    v is an (n + 1, k) array of unit columns.  Returns (lhs, rhs), two
+    length-k arrays with, for each column v,
 
         lhs = || pi_n(w(a, b)) v - v ||
         rhs = len(w) * max over s in {a, a^-1, b, b^-1} of || pi_n(s) v - v ||
 
     The triangle inequality and unitarity give lhs <= rhs for every unit v.
-    v is either one unit vector of dimension n + 1, giving two floats, or an
-    (n + 1, k) array of unit columns, giving two length-k arrays; the three
-    blocks are built once either way.
+    The three blocks are built once for all columns.
     """
     v = np.asarray(v, dtype=complex)
-    if v.ndim not in (1, 2) or v.shape[0] != n + 1:
-        raise ValueError(f"v must have dimension n + 1 = {n + 1}")
-    columns = v.reshape(n + 1, -1)
-    if np.any(np.abs(np.linalg.norm(columns, axis=0) - 1.0) > 1e-6):
-        raise ValueError("v must be a unit vector, or an array of unit columns")
+    if v.ndim != 2 or v.shape[0] != n + 1:
+        raise ValueError(f"v must be an array of columns of dimension n + 1 = {n + 1}")
+    if not np.all(np.abs(np.linalg.norm(v, axis=0) - 1.0) <= 1e-6):  # NaN fails this too
+        raise ValueError("v must be an array of unit columns")
     pw = irrep_matrix(evaluate_word(word, pair), n)
-    lhs = np.linalg.norm(pw @ columns - columns, axis=0)
+    lhs = np.linalg.norm(pw @ v - v, axis=0)
     pa = irrep_matrix(pair.a, n)
     pb = irrep_matrix(pair.b, n)
     generator_defect = np.max(
-        [
-            np.linalg.norm(m @ columns - columns, axis=0)
-            for m in (pa, pa.conj().T, pb, pb.conj().T)
-        ],
+        [np.linalg.norm(m @ v - v, axis=0) for m in (pa, pa.conj().T, pb, pb.conj().T)],
         axis=0,
     )
-    rhs = len(word) * generator_defect
-    if v.ndim == 1:
-        return float(lhs[0]), float(rhs[0])
-    return lhs, rhs
+    return lhs, len(word) * generator_defect

@@ -18,7 +18,6 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-APPROX_TOL = 1e-10
 _ROW_BLOCK = 1 << 14  # rows per draw of haar_quaternions
 
 
@@ -38,10 +37,6 @@ class SU2Element:
                 f"not special unitary: |alpha|^2 + |beta|^2 = {norm_sq!r}; "
                 "use SU2Element.from_quaternion to normalize arbitrary input"
             )
-
-    @classmethod
-    def identity(cls) -> "SU2Element":
-        return cls(1.0 + 0.0j, 0.0 + 0.0j)
 
     @classmethod
     def from_quaternion(cls, w: float, x: float, y: float, z: float) -> "SU2Element":
@@ -66,18 +61,11 @@ class SU2Element:
             ]
         )
 
-    def isclose(self, other: "SU2Element", tol: float = APPROX_TOL) -> bool:
-        """Componentwise comparison within tolerance (all products are floats)."""
-        return (
-            abs(self.alpha - other.alpha) <= tol
-            and abs(self.beta - other.beta) <= tol
-        )
-
     def __mul__(self, other: "SU2Element") -> "SU2Element":
         return multiply(self, other)
 
 
-IDENTITY = SU2Element.identity()
+IDENTITY = SU2Element(1.0 + 0.0j, 0.0 + 0.0j)
 
 
 class Pair(NamedTuple):
@@ -126,16 +114,6 @@ def inverse(g: SU2Element) -> SU2Element:
 def trace(g: SU2Element) -> float:
     """Real trace 2*Re(alpha), always in [-2, 2]."""
     return 2.0 * g.alpha.real
-
-
-def commutator(a: SU2Element, b: SU2Element) -> SU2Element:
-    """a * b * a^-1 * b^-1."""
-    return multiply(multiply(multiply(a, b), inverse(a)), inverse(b))
-
-
-def conjugate(g: SU2Element, k: SU2Element) -> SU2Element:
-    """k * g * k^-1."""
-    return multiply(multiply(k, g), inverse(k))
 
 
 def haar_quaternions(rng: np.random.Generator, count: int) -> np.ndarray:

@@ -1,5 +1,5 @@
 """Trace coordinates for pairs: the plane domain D, the solid region Omega,
-the quadratic trace identities, one pair built from one point, and the
+the plane map phi, one pair built from one point, and the
 codec of pair-spec records, whose fricke and traces forms are such points.
 
 Coordinates used throughout:
@@ -44,23 +44,23 @@ class TraceTriple(NamedTuple):
     z: float
 
 
-def in_domain_D(x: float, t: float, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Membership in D with one-sided boundary tolerance."""
+def in_domain_D(x: float, t: float) -> bool:
+    """Membership in D with one-sided boundary tolerance MEMBERSHIP_TOL."""
     return (
-        abs(x) <= 2.0 + tol
-        and abs(t) <= 2.0 + tol
-        and x * x - 2.0 <= t + tol
+        abs(x) <= 2.0 + MEMBERSHIP_TOL
+        and abs(t) <= 2.0 + MEMBERSHIP_TOL
+        and x * x - 2.0 <= t + MEMBERSHIP_TOL
     )
 
 
-def in_omega(x, y, z, tol: float = MEMBERSHIP_TOL):
-    """Membership in Omega with one-sided boundary tolerance.  Accepts
-    scalars or arrays."""
+def in_omega(x, y, z):
+    """Membership in Omega with one-sided boundary tolerance MEMBERSHIP_TOL.
+    Accepts scalars or arrays."""
     return (
-        (abs(x) <= 2.0 + tol)
-        & (abs(y) <= 2.0 + tol)
-        & (abs(z) <= 2.0 + tol)
-        & (x * x + y * y + z * z - x * y * z - 4.0 <= tol)
+        (abs(x) <= 2.0 + MEMBERSHIP_TOL)
+        & (abs(y) <= 2.0 + MEMBERSHIP_TOL)
+        & (abs(z) <= 2.0 + MEMBERSHIP_TOL)
+        & (x * x + y * y + z * z - x * y * z - 4.0 <= MEMBERSHIP_TOL)
     )
 
 
@@ -70,29 +70,11 @@ def pi_map(pair: Pair) -> FrickeCoord:
     return FrickeCoord(trace(a), commutator_trace(a.quaternion[1:], b.quaternion[1:]))
 
 
-def trace_of_square(x):
-    """tr(a^2) = x^2 - 2 where x = tr(a).  Accepts scalars or arrays."""
-    return x * x - 2.0
-
-
-def commutator_trace_of_square(x, t):
-    """tr([a^2, b]) = x^2 (t - 2) + 2.  Accepts scalars or arrays."""
-    return x * x * (t - 2.0) + 2.0
-
-
 def phi(coord) -> FrickeCoord:
     """The plane map (x, t) -> (x^2 - 2, x^2 (t - 2) + 2) induced on D
-    by squaring the first generator."""
+    by squaring the first generator: tr(a^2) and tr([a^2, b])."""
     x, t = coord
-    return FrickeCoord(trace_of_square(x), commutator_trace_of_square(x, t))
-
-
-def fricke_commutator_trace(x, y, z):
-    """tr([a, b]) = x^2 + y^2 + z^2 - x*y*z - 2 from the traces of a, b, ab.
-
-    Accepts scalars or arrays.
-    """
-    return x * x + y * y + z * z - x * y * z - 2.0
+    return FrickeCoord(x * x - 2.0, x * x * (t - 2.0) + 2.0)
 
 
 def _finite(*coords) -> list[float]:

@@ -715,15 +715,26 @@ class TestExitCodes:
         )
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_commands() -> list[list[str]]:
     """The argument lists of the su2gap lines in README.md's code blocks."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    lines = [line.partition("  #")[0].split() for line in readme.read_text().splitlines()]
+    lines = [line.partition("  #")[0].split() for line in README.read_text().splitlines()]
     return [words[1:] for words in lines if words[:1] == ["su2gap"]]
 
 
 class TestReadmeCommands:
-    """Every su2gap command line that README.md shows runs and exits 0."""
+    """Every su2gap command line that README.md shows runs and exits 0, and
+    its library example runs to the result its comments give."""
+
+    def test_library_example_runs(self, capsys):
+        (source,) = [block.partition("```")[0] for block in README.read_text().split("```python\n")[1:]]
+        namespace = {}
+        exec(source, namespace)
+        assert namespace["record"].steps_to_negative == 3  # "escape at step 3"
+        min_gap, argmin_level = map(float, capsys.readouterr().out.split())
+        assert 0.0 <= min_gap <= 1.0 and 1 <= argmin_level <= 50
 
     def test_the_block_is_found(self):
         commands = readme_commands()

@@ -14,13 +14,13 @@ from su2gap import (
     SU2Element,
     Word,
     apply_move,
-    conjugate,
     evaluate_word,
     fiber_image_interval,
     fiber_image_numeric,
     haar_pair,
     haar_sample,
     in_domain_D,
+    inverse,
     iterate_phi_endpoint,
     phi,
     pi_map,
@@ -135,11 +135,13 @@ class TestMoves:
     def test_swap_and_invert(self, rng):
         b = haar_pair(rng).b
         swapped = apply_move(Pair(IDENTITY, b), Move.SWAP_GENERATORS)
-        assert swapped.a.isclose(b, tol=0) and swapped.b.isclose(IDENTITY, tol=0)
+        np.testing.assert_allclose(swapped.a.matrix, b.matrix, rtol=0, atol=0)
+        np.testing.assert_allclose(swapped.b.matrix, IDENTITY.matrix, rtol=0, atol=0)
 
         pair = haar_pair(rng)
         twice = apply_move(apply_move(pair, Move.INVERT_FIRST), Move.INVERT_FIRST)
-        assert twice.a.isclose(pair.a, tol=1e-12) and twice.b.isclose(pair.b, tol=1e-12)
+        for got, expected in zip(twice, pair):
+            np.testing.assert_allclose(got.matrix, expected.matrix, rtol=0, atol=1e-12)
 
     def test_moves_stay_inside_generated_subgroup(self, rng):
         # oracle: track the same moves on free-group words and re-evaluate
@@ -157,8 +159,8 @@ class TestMoves:
         for move in sequence:
             current = apply_move(current, move)
             wa, wb = WORD_MOVES[move](wa, wb)
-            assert evaluate_word(wa, pair).isclose(current.a, tol=1e-9)
-            assert evaluate_word(wb, pair).isclose(current.b, tol=1e-9)
+            for word, got in ((wa, current.a), (wb, current.b)):
+                np.testing.assert_allclose(evaluate_word(word, pair).matrix, got.matrix, rtol=0, atol=1e-9)
 
 
 def wordmap_orbit_reference(pair, depth, max_points=10000):
@@ -251,10 +253,7 @@ class TestWordmapOrbit:
 
     def test_commuting_pair_collides_within_a_depth(self, rng):
         k = haar_sample(rng)
-        pair = Pair(
-            conjugate(SU2Element(np.exp(0.7j), 0.0), k),
-            conjugate(SU2Element(np.exp(1.9j), 0.0), k),
-        )
+        pair = Pair(*(k * SU2Element(np.exp(angle * 1j), 0.0) * inverse(k) for angle in (0.7, 1.9)))
         orbit = assert_matches_reference(pair, 8, 20000)
         np.testing.assert_allclose(orbit.t, 2.0, atol=1e-12)
         # S, I and M all keep b, so candidates share keys inside one depth
@@ -265,7 +264,7 @@ class TestWordmapOrbit:
         # oracle: the 2I pair's orbit is finite; its 21 trace-plane points
         # are reached within 7 moves
         k = haar_sample(rng)
-        pair = Pair(conjugate(ICOSAHEDRAL.a, k), conjugate(ICOSAHEDRAL.b, k))
+        pair = Pair(k * ICOSAHEDRAL.a * inverse(k), k * ICOSAHEDRAL.b * inverse(k))
         orbit = assert_matches_reference(pair, 12, 20000)
         assert len(orbit) == 21
         assert max(len(path) for path in orbit.paths) <= 7

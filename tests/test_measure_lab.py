@@ -17,7 +17,6 @@ from su2gap import (
     boundary_distance,
     boundary_mass,
     fiber_transport_demo,
-    fricke_commutator_trace,
     in_omega,
     pi_map,
     pushforward_histogram,
@@ -54,7 +53,7 @@ class TestPushforwardHistogram:
 
     def test_samples_respect_domain(self):
         hist = pushforward_histogram(100000, 40, seed=3)
-        edges_x, edges_t = hist.x_edges, hist.t_edges
+        edges_x = edges_t = np.linspace(-2.0, 2.0, hist.bins_per_axis + 1)
         for i in range(hist.bins_per_axis):
             for j in range(hist.bins_per_axis):
                 if cell_wholly_outside_D(
@@ -64,7 +63,7 @@ class TestPushforwardHistogram:
 
     def test_interior_cells_populated(self):
         hist = pushforward_histogram(200000, 40, seed=3)
-        edges_x, edges_t = hist.x_edges, hist.t_edges
+        edges_x = edges_t = np.linspace(-2.0, 2.0, hist.bins_per_axis + 1)
         centers_x = (edges_x[:-1] + edges_x[1:]) / 2.0
         centers_t = (edges_t[:-1] + edges_t[1:]) / 2.0
         for i, cx in enumerate(centers_x):
@@ -81,7 +80,7 @@ class TestPushforwardHistogram:
         bins = 50
         hist = pushforward_histogram(1_000_000, bins, seed=17)
         marginal = hist.counts.sum(axis=1)
-        edges = hist.x_edges
+        edges = np.linspace(-2.0, 2.0, bins + 1)
         probs = np.diff(cdf(edges))
         expected = hist.total * probs
         chi_sq = float(((marginal - expected) ** 2 / expected).sum())
@@ -149,6 +148,7 @@ class TestBoundaryDistance:
 class TestBoundaryMass:
     def test_everything_is_near_for_huge_delta(self):
         assert boundary_mass(2000, 2.0, seed=1) == 1.0
+        assert boundary_mass(2000, float("inf"), seed=1) == 1.0
 
     def test_decreases_when_delta_halves(self):
         wide = boundary_mass(1_000_000, 0.1, seed=8)
@@ -159,8 +159,10 @@ class TestBoundaryMass:
         assert boundary_mass(1_000_000, 1e-6, seed=8) < 1e-2
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            boundary_mass(100, 0.0, seed=0)
+        # NaN fails delta <= 0 as well as delta > 0, so only the second rejects it
+        for delta in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="delta must be positive"):
+                boundary_mass(100, delta, seed=0)
 
 
 def boundary_band_points(distances):
@@ -443,7 +445,7 @@ class TestCellCounts:
         expected, _, _ = np.histogram2d(
             np.clip(xs, -2.0, 2.0), np.clip(ts, -2.0, 2.0), bins=bins, range=[[-2, 2], [-2, 2]]
         )
-        np.testing.assert_array_equal(_cell_counts(xs, ts, bins), expected.astype(np.int64))
+        np.testing.assert_array_equal(_cell_counts(xs, ts, edges), expected.astype(np.int64))
 
     @pytest.mark.parametrize("bins", [2, 3, 7, 40, 41, 100, 333, 1000])
     def test_cell_index_matches_histogram_on_and_beside_every_edge(self, rng, bins):
@@ -452,7 +454,7 @@ class TestCellCounts:
         beside = [np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)]
         values = np.concatenate([edges, *beside, [-2.5, 2.5], rng.uniform(-2.5, 2.5, 20000)])
         expected, _ = np.histogram(np.clip(values, -2.0, 2.0), bins=bins, range=(-2.0, 2.0))
-        np.testing.assert_array_equal(np.bincount(_cell_index(values, bins), minlength=bins), expected)
+        np.testing.assert_array_equal(np.bincount(_cell_index(values, edges), minlength=bins), expected)
 
     @pytest.mark.parametrize("t", [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
     def test_transport_counts_match_histogram(self, t):
@@ -491,8 +493,9 @@ class TestSampleFiber:
     def test_outputs_live_in_omega(self):
         for pair in fiber_pairs(0.3, 300, seed=4):
             x, y, z = trace_triple(pair)
-            assert in_omega(x, y, z, tol=1e-9)
-            assert abs(fricke_commutator_trace(x, y, z) - 0.3) < 1e-9
+            assert max(abs(x), abs(y), abs(z)) <= 2.0 + 1e-9
+            assert x * x + y * y + z * z - x * y * z - 4.0 <= 1e-9  # Omega
+            assert abs((x * x + y * y + z * z - x * y * z - 2.0) - 0.3) < 1e-9  # Fricke-Vogt
 
     def test_full_trace_solution_at_top(self):
         # (2, 0, 0) solves the fiber quadratic at t = 2: commuting pairs appear

@@ -18,7 +18,6 @@ from su2gap import (
     SU2Element,
     Word,
     apply_move,
-    conjugate,
     construct_pair_from_fricke,
     evaluate_word,
     gap_profile,
@@ -340,7 +339,7 @@ class TestLevelGap:
         for _ in range(30):
             pair = haar_pair(rng)
             k = haar_sample(rng)
-            moved = Pair(conjugate(pair.a, k), conjugate(pair.b, k))
+            moved = Pair(k * pair.a * inverse(k), k * pair.b * inverse(k))
             gaps, moved_gaps = profile_gaps(pair, 150), profile_gaps(moved, 8)
             for n, moved_gap in moved_gaps.items():
                 assert abs(gaps[n] - moved_gap) < 1e-9
@@ -609,10 +608,16 @@ def random_unit_vector(rng, dim):
     return v / np.linalg.norm(v)
 
 
+def defect_of_one(pair, word, n, v):
+    """word_defect_check on the one column v, as two floats."""
+    (lhs,), (rhs,) = word_defect_check(pair, word, n, v[:, None])
+    return lhs, rhs
+
+
 class TestWordDefect:
     def test_empty_word(self, rng):
         pair = haar_pair(rng)
-        lhs, rhs = word_defect_check(pair, Word(), 4, random_unit_vector(rng, 5))
+        lhs, rhs = defect_of_one(pair, Word(), 4, random_unit_vector(rng, 5))
         assert lhs == 0.0 and rhs == 0.0
 
     def test_squared_generator_factor_two(self, rng):
@@ -620,7 +625,7 @@ class TestWordDefect:
             pair = haar_pair(rng)
             n = 6
             v = random_unit_vector(rng, n + 1)
-            lhs, rhs = word_defect_check(pair, Word.from_string("aa"), n, v)
+            lhs, rhs = defect_of_one(pair, Word.from_string("aa"), n, v)
             pa = irrep_matrix(pair.a, n)
             generator_defect = np.linalg.norm(pa @ v - v)
             assert lhs <= 2.0 * generator_defect + 1e-10
@@ -636,20 +641,26 @@ class TestWordDefect:
             word = Word(reduce_letters(rng.choice([1, -1, 2, -2], size=length)))
             n = int(rng.integers(1, 21))
             v = random_unit_vector(rng, n + 1)
-            lhs, rhs = word_defect_check(pair, word, n, v)
+            lhs, rhs = defect_of_one(pair, word, n, v)
             assert lhs <= rhs + 1e-10
 
     def test_rejects_bad_vector(self, rng):
         pair = haar_pair(rng)
         with pytest.raises(ValueError):
-            word_defect_check(pair, Word(), 3, np.ones(4))
+            word_defect_check(pair, Word(), 3, np.ones((4, 1)))
         with pytest.raises(ValueError):
-            word_defect_check(pair, Word(), 3, random_unit_vector(rng, 3))
+            word_defect_check(pair, Word(), 3, random_unit_vector(rng, 3)[:, None])
+        with pytest.raises(ValueError):  # one vector is no longer a form of v
+            word_defect_check(pair, Word(), 3, random_unit_vector(rng, 4))
         columns = np.stack([random_unit_vector(rng, 4), np.ones(4)], axis=1)
         with pytest.raises(ValueError):
             word_defect_check(pair, Word(), 3, columns)
         with pytest.raises(ValueError):
             word_defect_check(pair, Word(), 3, np.ones((4, 1, 1)) / 2.0)
+        # |norm - 1| > 1e-6 is False for NaN, so only a test that NaN fails rejects it
+        columns = np.stack([random_unit_vector(rng, 4), np.full(4, np.nan)], axis=1)
+        with pytest.raises(ValueError, match="unit columns"):
+            word_defect_check(pair, Word.from_string("abAB"), 3, columns)
 
     def test_batch_matches_single_vectors(self, rng):
         for word, n in (("abAB", 4), ("aaBabA", 7), ("aBabAbaB", 10)):
@@ -659,8 +670,7 @@ class TestWordDefect:
             lhs, rhs = word_defect_check(pair, word, n, columns)
             assert lhs.shape == rhs.shape == (25,)
             for j in range(25):
-                single = word_defect_check(pair, word, n, columns[:, j])
-                assert isinstance(single[0], float) and isinstance(single[1], float)
+                single = defect_of_one(pair, word, n, columns[:, j])
                 assert abs(lhs[j] - single[0]) < 1e-12
                 assert abs(rhs[j] - single[1]) < 1e-12
 

@@ -15,7 +15,6 @@ from su2gap import (
     Pair,
     SU2Element,
     Word,
-    commutator,
     evaluate_word,
     haar_quaternions,
     haar_sample,
@@ -76,7 +75,7 @@ class TestTraceAndProducts:
         for _ in range(300):
             g = haar_sample(rng)
             np.testing.assert_allclose(inverse(g).matrix, g.matrix.conj().T, atol=0)
-            assert multiply(g, inverse(g)).isclose(IDENTITY, tol=1e-14)
+            np.testing.assert_allclose(multiply(g, inverse(g)).matrix, IDENTITY.matrix, rtol=0, atol=1e-14)
 
     def test_constructor_rejects_non_unitary(self):
         with pytest.raises(ValueError):
@@ -119,11 +118,16 @@ class TestComponentProducts:
         np.testing.assert_array_equal(commutator_trace(a[1:], b[1:]), expected)
 
 
+def commutator(a, b):
+    """a b a^-1 b^-1, multiplied left to right."""
+    return a * b * inverse(a) * inverse(b)
+
+
 class TestCommutator:
     def test_self_and_identity(self, rng):
         a = haar_sample(rng)
-        assert commutator(a, a).isclose(IDENTITY, tol=1e-14)
-        assert commutator(a, IDENTITY).isclose(IDENTITY, tol=1e-14)
+        for b in (a, IDENTITY):
+            np.testing.assert_allclose(commutator(a, b).matrix, IDENTITY.matrix, rtol=0, atol=1e-14)
 
     def test_quarter_turn_pair_gives_minus_identity(self):
         # oracle: direct 2x2 multiplication
@@ -321,11 +325,9 @@ class TestWords:
 
     def test_evaluate_examples(self, rng):
         pair = Pair(haar_sample(rng), haar_sample(rng))
-        assert evaluate_word(Word(), pair).isclose(IDENTITY, tol=0)
-        assert evaluate_word(Word.from_string("a"), pair).isclose(pair.a, tol=0)
-        assert evaluate_word(Word.from_string("abAB"), pair).isclose(
-            commutator(pair.a, pair.b), tol=1e-14
-        )
+        for text, expected, tol in (("", IDENTITY, 0), ("a", pair.a, 0), ("abAB", commutator(*pair), 1e-14)):
+            got = evaluate_word(Word.from_string(text), pair)
+            np.testing.assert_allclose(got.matrix, expected.matrix, rtol=0, atol=tol)
 
     @settings(max_examples=100, deadline=None)
     @given(w1=words(), w2=words(), g=elements(), h=elements())
@@ -333,7 +335,7 @@ class TestWords:
         pair = Pair(g, h)
         left = evaluate_word(w1 * w2, pair)
         right = multiply(evaluate_word(w1, pair), evaluate_word(w2, pair))
-        assert left.isclose(right, tol=1e-10)
+        np.testing.assert_allclose(left.matrix, right.matrix, rtol=0, atol=1e-10)
 
 
 class TestPairSpec:

@@ -12,11 +12,8 @@ from su2gap import (
     DomainError,
     IDENTITY,
     Pair,
-    commutator,
-    commutator_trace_of_square,
     construct_pair_from_fricke,
     construct_pair_from_traces,
-    fricke_commutator_trace,
     haar_pair,
     in_domain_D,
     in_omega,
@@ -26,7 +23,6 @@ from su2gap import (
     phi,
     pi_map,
     trace,
-    trace_of_square,
     trace_triple,
 )
 
@@ -37,24 +33,37 @@ def matrix_commutator_trace(pair: Pair) -> float:
     return float(np.trace(a @ b @ np.linalg.inv(a) @ np.linalg.inv(b)).real)
 
 
+def fricke_commutator_trace(x, y, z):
+    """Oracle: the Fricke-Vogt identity tr([a, b]) = x^2 + y^2 + z^2 - xyz - 2."""
+    return x * x + y * y + z * z - x * y * z - 2.0
+
+
+def assert_same_element(g, h, atol):
+    """|alpha_g - alpha_h| <= atol and |beta_g - beta_h| <= atol."""
+    np.testing.assert_allclose(g.matrix, h.matrix, rtol=0, atol=atol)
+
+
 class TestTraceIdentities:
     def test_pi_map_identity_pair(self):
         assert pi_map(Pair(IDENTITY, IDENTITY)) == (2.0, 2.0)
 
+    # phi's coordinates are tr(a^2) = x^2 - 2 and tr([a^2, b]) = x^2 (t - 2) + 2
+
     def test_trace_of_square_examples(self):
-        assert trace_of_square(2.0) == 2.0
-        assert trace_of_square(0.0) == -2.0
+        for t in (-2.0, 0.0, 2.0):
+            assert phi((2.0, t)).x == 2.0
+            assert phi((0.0, t)).x == -2.0
 
     def test_trace_of_square_against_matrix_oracle(self, rng):
         for _ in range(500):
             a = haar_pair(rng).a
             direct = float(np.trace(a.matrix @ a.matrix).real)
-            assert abs(direct - trace_of_square(trace(a))) < 1e-12
+            assert abs(direct - phi((trace(a), 0.0)).x) < 1e-12
 
     def test_commutator_trace_of_square_examples(self):
         for t in (-2.0, -0.5, 0.0, 1.3, 2.0):
-            assert commutator_trace_of_square(0.0, t) == 2.0
-        assert commutator_trace_of_square(2.0, 2.0) == 2.0
+            assert phi((0.0, t)).t == 2.0
+        assert phi((2.0, 2.0)).t == 2.0
 
     def test_commutator_trace_of_square_against_matrix_oracle(self, rng):
         for _ in range(500):
@@ -63,11 +72,12 @@ class TestTraceIdentities:
             t = matrix_commutator_trace(pair)
             squared = Pair(multiply(pair.a, pair.a), pair.b)
             direct = matrix_commutator_trace(squared)
-            assert abs(direct - commutator_trace_of_square(x, t)) < 1e-12
+            assert abs(direct - phi((x, t)).t) < 1e-12
 
     def test_fricke_commutator_trace_examples(self):
-        assert fricke_commutator_trace(2.0, 2.0, 2.0) == 2.0
-        assert fricke_commutator_trace(0.0, 0.0, 0.0) == -2.0
+        # the pairs built over the corners (2, 2, 2) and (0, 0, 0) of Omega
+        assert pi_map(construct_pair_from_traces(2.0, 2.0, 2.0)).t == 2.0
+        assert pi_map(construct_pair_from_traces(0.0, 0.0, 0.0)).t == -2.0
 
     def test_fricke_commutator_trace_against_matrix_oracle(self, rng):
         for _ in range(500):
@@ -102,7 +112,7 @@ class TestPlaneMap:
     def test_chebyshev_double_angle(self):
         for angle in np.linspace(0.0, np.pi, 1001):
             x = 2.0 * math.cos(angle)
-            assert abs(trace_of_square(x) - 2.0 * math.cos(2.0 * angle)) < 1e-12
+            assert abs(phi((x, 0.0)).x - 2.0 * math.cos(2.0 * angle)) < 1e-12
 
     def test_phi_maps_D_into_D(self):
         xs = np.linspace(-2.0, 2.0, 200)
@@ -111,7 +121,8 @@ class TestPlaneMap:
             for t in ts:
                 if in_domain_D(x, t):
                     image = phi((x, t))
-                    assert in_domain_D(image.x, image.t, tol=1e-9)
+                    assert abs(image.x) <= 2.0 + 1e-9 and abs(image.t) <= 2.0 + 1e-9
+                    assert image.x * image.x - 2.0 <= image.t + 1e-9
 
 
 class TestMembership:
@@ -154,7 +165,7 @@ class TestFrickeConstruction:
     def test_zero_two_gives_quarter_turn_and_identity(self):
         a, b = construct_pair_from_fricke(0.0, 2.0)
         np.testing.assert_allclose(a.matrix, np.diag([1j, -1j]), atol=1e-15)
-        assert b.isclose(IDENTITY, tol=0)
+        assert_same_element(b, IDENTITY, atol=0)
 
     def test_zero_minus_two_reaches_the_corner(self):
         a, b = construct_pair_from_fricke(0.0, -2.0)
@@ -169,7 +180,8 @@ class TestFrickeConstruction:
 
     def test_edge_of_x_range(self):
         a, b = construct_pair_from_fricke(2.0, 2.0)
-        assert a.isclose(IDENTITY, tol=0) and b.isclose(IDENTITY, tol=0)
+        assert_same_element(a, IDENTITY, atol=0)
+        assert_same_element(b, IDENTITY, atol=0)
         a, _ = construct_pair_from_fricke(-2.0, 2.0)
         assert trace(a) == -2.0
 
@@ -188,7 +200,7 @@ class TestFrickeConstruction:
             _, b_bottom = construct_pair_from_fricke(x, x * x - 2.0)
             assert abs(abs(b_bottom.beta) - 1.0) < 1e-12
             _, b_top = construct_pair_from_fricke(x, 2.0)
-            assert b_top.isclose(IDENTITY, tol=1e-12)
+            assert_same_element(b_top, IDENTITY, atol=1e-12)
 
 
 class TestTripleConstruction:
@@ -248,7 +260,7 @@ class TestTripleConstruction:
 class TestPairSpecDispatch:
     def test_three_forms(self):
         by_fricke = pair_from_spec({"type": "fricke", "x": 0.0, "t": 2.0})
-        assert by_fricke.b.isclose(IDENTITY, tol=0)
+        assert_same_element(by_fricke.b, IDENTITY, atol=0)
         by_traces = pair_from_spec({"type": "traces", "x": 0.0, "y": 0.0, "z": 0.0})
         assert abs(trace(by_traces.a)) < 1e-12
         spec = {
@@ -257,7 +269,7 @@ class TestPairSpecDispatch:
             "b": [1.0, 0.0, 0.0, 0.0],
         }
         by_matrix = pair_from_spec(spec)
-        assert by_matrix.b.isclose(IDENTITY, tol=0)
+        assert_same_element(by_matrix.b, IDENTITY, atol=0)
 
     def test_unknown_type(self):
         with pytest.raises(ValueError):
